@@ -1,14 +1,14 @@
-"""Interpreter micro-benchmark harness: the three-engine matrix.
+"""Interpreter micro-benchmark harness: compiled engine vs tree reference.
 
 Measures steady-state instructions-retired/sec for three NPB kernels
 (``ep``, ``is``, ``mg``) in two modes — *plain* (no observer) and *hcpa*
-(under the :class:`KremlinProfiler` with the fused instrumented stream) —
-on all three execution engines (``tree``, ``bytecode``, ``compiled``),
-and records the results in ``benchmarks/perf/BENCH_interp.json``.
+(under the :class:`KremlinProfiler` with the fused generated code) — on
+both execution engines (``tree`` and ``compiled``), and records the
+results in ``benchmarks/perf/BENCH_interp.json``.
 
 Steady-state means one-time preparation cost is amortized: each engine
-gets one interpreter whose ``prepare()`` (predecode for bytecode, AOT
-codegen + binding for compiled) is timed separately — and split into two
+gets one interpreter whose ``prepare()`` (AOT codegen + binding for
+compiled, a no-op for tree) is timed separately — and split into two
 lanes so the 20% gate never flaps on cache state:
 
 * ``*_codegen_cold_seconds`` — prepare with an empty persistent codegen
@@ -33,11 +33,10 @@ Usage::
                                                  # the checked-in baseline;
                                                  # exit 1 on a >20% regression
 
-``--check`` compares engine-vs-tree *speedup ratios*, not absolute times,
-so the baseline is portable across machines: a regression means a fast
-engine got slower relative to the tree engine on the same hardware, which
-is exactly the property those engines exist to provide. Both fast engines
-(bytecode and compiled) are gated.
+``--check`` compares compiled-vs-tree *speedup ratios*, not absolute
+times, so the baseline is portable across machines: a regression means
+the compiled engine got slower relative to the tree engine on the same
+hardware, which is exactly the property it exists to provide.
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ from repro.kremlib.profiler import KremlinProfiler
 
 BASELINE_PATH = os.path.join(_HERE, "BENCH_interp.json")
 BENCHMARKS = ("ep", "is", "mg")
-ENGINES = ("tree", "bytecode", "compiled")
-FAST_ENGINES = ("bytecode", "compiled")
+ENGINES = ("tree", "compiled")
+FAST_ENGINES = ("compiled",)
 MODES = ("plain", "hcpa")
 
 
@@ -77,7 +76,7 @@ def _prepare_seconds(program, engine: str, mode: str):
 
 
 def _measure_mode(program, make_program, mode: str, runs: int) -> dict:
-    """Measure all three engines for one (benchmark, mode) combination.
+    """Measure every engine for one (benchmark, mode) combination.
 
     Preparation is timed per engine in two lanes: ``cold`` against the
     empty persistent cache (genuine codegen plus the cache write) and
@@ -146,9 +145,6 @@ def measure(names, runs: int) -> dict:
                         row[f"speedup_{engine}"] = (
                             row["tree_seconds"] / row[f"{engine}_seconds"]
                         )
-                    # Legacy alias kept so older tooling reading "speedup"
-                    # (the bytecode-vs-tree ratio) continues to work.
-                    row["speedup"] = row["speedup_bytecode"]
                     entry[mode] = row
                 results[name] = entry
         finally:
@@ -157,28 +153,15 @@ def measure(names, runs: int) -> dict:
 
 
 def render(results: dict) -> str:
-    lines = [
-        f"{'bench':>5}  {'mode':>5}  {'tree instr/s':>14}  "
-        f"{'bytecode':>9}  {'compiled':>9}"
-    ]
+    lines = [f"{'bench':>5}  {'mode':>5}  {'tree instr/s':>14}  {'compiled':>9}"]
     for name, entry in results.items():
         for mode in MODES:
             row = entry[mode]
             lines.append(
                 f"{name:>5}  {mode:>5}  {row['tree_ips']:>14,.0f}  "
-                f"{row['speedup_bytecode']:>8.2f}x "
                 f"{row['speedup_compiled']:>8.2f}x"
             )
     return "\n".join(lines)
-
-
-def _baseline_speedup(entry: dict, engine: str) -> float | None:
-    """Speedup for ``engine`` from a baseline row, tolerating the version-1
-    format that only recorded the bytecode ratio under ``speedup``."""
-    value = entry.get(f"speedup_{engine}")
-    if value is None and engine == "bytecode":
-        value = entry.get("speedup")
-    return value
 
 
 def check(results: dict, baseline: dict, tolerance: float) -> int:
@@ -189,9 +172,7 @@ def check(results: dict, baseline: dict, tolerance: float) -> int:
             continue
         for mode in MODES:
             for engine in FAST_ENGINES:
-                expected = _baseline_speedup(entry[mode], engine)
-                if expected is None:
-                    continue
+                expected = entry[mode][f"speedup_{engine}"]
                 actual = results[name][mode][f"speedup_{engine}"]
                 floor = expected * (1.0 - tolerance)
                 verdict = "ok" if actual >= floor else "REGRESSION"
@@ -207,7 +188,7 @@ def check(results: dict, baseline: dict, tolerance: float) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark the fast engines against the tree engine."
+        description="Benchmark the compiled engine against the tree engine."
     )
     parser.add_argument(
         "--update",
@@ -242,7 +223,7 @@ def main(argv=None) -> int:
     if options.update:
         payload = {
             "format": "kremlin-interp-bench",
-            "version": 3,
+            "version": 4,
             "runs": options.runs,
             "results": results,
         }

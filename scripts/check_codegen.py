@@ -8,7 +8,8 @@ under the compiled engine and asserts, for each one:
    identical to the tree reference engine's;
 2. the serialized parallelism profile under the KremLib profiler is
    byte-identical to the tree engine's, at unlimited depth and under a
-   depth window (``max_depth=2``);
+   depth window (``max_depth=2``), with metrics collection off and again
+   with it on (the metrics-on fused code must compute the same profile);
 3. generated code is actually being exercised (the unit cache reports
    codegen activity).
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -30,9 +32,12 @@ from repro.hcpa.serialize import profile_to_json  # noqa: E402
 from repro.instrument.compile import kremlin_cc  # noqa: E402
 from repro.interp.interpreter import Interpreter  # noqa: E402
 from repro.kremlib.profiler import KremlinProfiler  # noqa: E402
+from repro.obs import collecting_metrics  # noqa: E402
 
 CORPUS = sorted((REPO_ROOT / "tests" / "fuzz" / "corpus").glob("*.c"))
 EXAMPLES = [REPO_ROOT / "examples" / "quickstart.c"]
+#: (metrics collection on, max_depth) for every profiled comparison
+CONFIGS = [(metrics, depth) for metrics in (False, True) for depth in (None, 2)]
 
 
 def _signature(program, engine: str, max_depth=None) -> tuple:
@@ -75,11 +80,14 @@ def main() -> int:
             print(f"codegen-smoke: FAIL {label}: plain run diverged")
             failures += 1
             continue
-        for max_depth in (None, 2):
-            tree = _signature(program, "tree", max_depth)
-            compiled = _signature(program, "compiled", max_depth)
+        for metrics, max_depth in CONFIGS:
+            with collecting_metrics() if metrics else nullcontext():
+                tree = _signature(program, "tree", max_depth)
+                compiled = _signature(program, "compiled", max_depth)
             if tree != compiled:
                 tag = "unlimited" if max_depth is None else f"depth={max_depth}"
+                if metrics:
+                    tag += ", metrics on"
                 print(f"codegen-smoke: FAIL {label} ({tag}): profile diverged")
                 failures += 1
                 break

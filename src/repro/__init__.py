@@ -14,9 +14,8 @@ Quickstart::
     for item in report.plan:           # ranked regions to parallelize
         print(item.region.name, item.self_parallelism)
 
-(``repro.analyze(source)`` still works as a one-shot shim; its legacy
-keyword arguments are deprecated in favour of the session's frozen
-option dataclasses.)
+(``repro.analyze(source)`` is the one-shot form with every option at
+its default.)
 
 The pipeline underneath: ``kremlin_cc`` compiles MiniC source to
 instrumented IR; ``profile_program`` executes it under the KremLib HCPA
@@ -28,8 +27,6 @@ model multicore.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.api import (
     CompileOptions,
@@ -105,58 +102,11 @@ def make_planner(personality: str) -> Planner:
     return create_planner(personality)
 
 
-_UNSET = object()
-
-
-def analyze(
-    source: str,
-    filename=_UNSET,
-    personality=_UNSET,
-    entry=_UNSET,
-    args=_UNSET,
-    max_depth=_UNSET,
-) -> KremlinReport:
-    """One-shot pipeline: compile, profile, aggregate, and plan.
-
-    Thin shim over :class:`repro.api.KremlinSession`. The loose keyword
-    arguments are deprecated: build a session with
-    :class:`~repro.api.CompileOptions` / :class:`~repro.api.ProfileOptions`
-    / :class:`~repro.api.PlanOptions` instead. ``analyze(source)`` with no
-    legacy kwargs stays warning-free.
-    """
-    legacy = {
-        name: value
-        for name, value in (
-            ("filename", filename),
-            ("personality", personality),
-            ("entry", entry),
-            ("args", args),
-            ("max_depth", max_depth),
-        )
-        if value is not _UNSET
-    }
-    if legacy:
-        warnings.warn(
-            f"repro.analyze() keyword(s) {sorted(legacy)} are deprecated; "
-            "use repro.KremlinSession with CompileOptions/ProfileOptions/"
-            "PlanOptions instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    session = KremlinSession(
-        compile_options=CompileOptions(
-            filename=legacy.get("filename", "<input>")
-        ),
-        profile_options=ProfileOptions(
-            entry=legacy.get("entry", "main"),
-            args=legacy.get("args", ()),
-            max_depth=legacy.get("max_depth"),
-        ),
-        plan_options=PlanOptions(
-            personality=legacy.get("personality", "openmp")
-        ),
-    )
-    return session.analyze(source)
+def analyze(source: str) -> KremlinReport:
+    """One-shot pipeline with default options: compile, profile,
+    aggregate, and plan. Build a :class:`~repro.api.KremlinSession` for
+    anything else."""
+    return KremlinSession().analyze(source)
 
 
 __all__ = [

@@ -1,11 +1,8 @@
 """Stable public API: the :class:`KremlinSession` facade.
 
-The one-shot :func:`repro.analyze` helper grew a tail of loose kwargs
-(``filename``, ``personality``, ``entry``, ``args``, ``max_depth``) that
-had to be threaded through ``profile_program`` and three planner
-constructors. This module replaces that sprawl with three small **frozen**
-option dataclasses — one per pipeline phase — and a session object that
-owns them plus (optionally) session-scoped observability::
+Pipeline options live in three small **frozen** option dataclasses — one
+per pipeline phase — and a session object owns them plus (optionally)
+session-scoped observability::
 
     from repro.api import KremlinSession, PlanOptions
     from repro.obs import Tracer, MetricsRegistry
@@ -19,8 +16,7 @@ owns them plus (optionally) session-scoped observability::
     print(report.render_plan())
     print(render_tree(session.tracer))   # where did the wall-clock go?
 
-``repro.analyze(...)`` remains as a thin shim that builds a session from
-its legacy kwargs (with a ``DeprecationWarning`` when any are used).
+``repro.analyze(source)`` is the same as ``KremlinSession().analyze``.
 
 Observability scoping: a session created with ``tracer=``/``metrics=``
 installs them for the duration of each pipeline call and restores the
@@ -83,8 +79,8 @@ class ProfileOptions:
     max_depth: int | None = None
     #: abort the run past this many retired instructions
     max_instructions: int | None = None
-    #: execution engine: "compiled" (AOT codegen, the default), "bytecode"
-    #: (predecoded closures), or "tree" (the reference interpreter)
+    #: execution engine: "compiled" (AOT codegen, the default) or "tree"
+    #: (the reference interpreter)
     engine: str = "compiled"
 
 

@@ -47,7 +47,7 @@ from repro.planner.registry import available_personalities, create_planner
 from repro.report import format_flat_profile, format_plan, format_region_table
 
 
-ENGINES = ("compiled", "bytecode", "tree")
+ENGINES = ("compiled", "tree")
 
 
 def _check_engine(parser: argparse.ArgumentParser, name: str) -> str:
@@ -146,8 +146,8 @@ def main(argv: list[str] | None = None) -> int:
         "--engine",
         default="compiled",
         help=(
-            "execution engine: compiled (AOT codegen, default), bytecode, "
-            "or tree (reference)"
+            "execution engine: compiled (AOT codegen, default) or tree "
+            "(reference)"
         ),
     )
     parser.add_argument(
@@ -415,7 +415,7 @@ def _run_main(argv: list[str]) -> int:
     parser.add_argument(
         "--engine",
         default="compiled",
-        help="execution engine: compiled (default), bytecode, or tree",
+        help="execution engine: compiled (default) or tree",
     )
     parser.add_argument(
         "--personality",
@@ -653,7 +653,7 @@ def _submit_main(argv: list[str]) -> int:
     parser.add_argument(
         "--engine",
         default="compiled",
-        help="execution engine: compiled (default), bytecode, or tree",
+        help="execution engine: compiled (default) or tree",
     )
     options = parser.parse_args(argv)
     _check_engine(parser, options.engine)
@@ -919,7 +919,7 @@ def _trace_main(argv: list[str]) -> int:
     parser.add_argument(
         "--engine",
         default="compiled",
-        help="execution engine to trace: compiled (default), bytecode, tree",
+        help="execution engine to trace: compiled (default) or tree",
     )
     parser.add_argument(
         "-o",

@@ -1,17 +1,17 @@
 """Differential fuzzing and invariant oracle for the Kremlin pipeline.
 
-PR 1 made the predecoded bytecode engine the default and proved it
-bit-identical to the tree-walking reference engine — on the twelve
-hand-written suite programs. This package generates the programs nobody
-hand-wrote:
+The compiled engine is proved bit-identical to the tree-walking
+reference engine on the hand-written suite programs. This package
+generates the programs nobody hand-wrote:
 
 * :mod:`repro.fuzz.generator` — a seeded random program generator over the
   MiniC frontend language (nested loops, branches, calls, recursion,
   arrays, reductions, early exits), guaranteed to terminate and to stay
   in-bounds by construction;
 * :mod:`repro.fuzz.differential` — runs one program through every engine
-  configuration (tree/bytecode × plain/profiled × depth windows) and
-  asserts byte-identical results and serialized profiles;
+  configuration (tree/compiled × plain/profiled × depth windows, plus
+  compiled with metrics on) and asserts byte-identical results and
+  serialized profiles;
 * :mod:`repro.fuzz.oracle` — algebraic invariants the paper's HCPA
   definitions guarantee (``cp ≤ work``, ``SP ≥ 1``, child cp bounded by
   parent cp, compression round-trip, merge order-independence, planner

@@ -3,13 +3,13 @@
 One call to :func:`run_differential` compiles a program once and runs it
 through the full engine matrix:
 
-* ``tree`` vs each fast engine (``bytecode`` and the AOT ``compiled``
-  engine), unprofiled — same value, output, instruction count, and total
-  cost;
-* ``tree`` vs each fast engine under the KremLib profiler, at every
-  configured depth window — same run results *and* byte-identical
-  serialized parallelism profiles (the fast engines' fused fast paths
-  must be exact, not approximately right);
+* ``tree`` vs the AOT ``compiled`` engine, unprofiled — same value,
+  output, instruction count, and total cost;
+* ``tree`` vs the compiled engine under the KremLib profiler, with
+  metrics collection off and on, at every configured depth window — same
+  run results *and* byte-identical serialized parallelism profiles (the
+  fused fast path must be exact, not approximately right, and its
+  counters must not change what it computes);
 * profiled vs unprofiled — the profiler must not perturb execution;
 
 then hands every profile to the invariant oracle
@@ -29,6 +29,7 @@ finding.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.frontend.errors import MiniCError
@@ -38,13 +39,21 @@ from repro.instrument.compile import kremlin_cc
 from repro.interp.errors import InterpreterError
 from repro.interp.interpreter import Interpreter, RunResult
 from repro.kremlib.profiler import KremlinProfiler
+from repro.obs.metrics import collecting_metrics
 
 #: depth windows every program is profiled under: unlimited plus the
 #: paper's depth-window flag (exercises the untracked-region paths)
 DEFAULT_MAX_DEPTHS: tuple[int | None, ...] = (None, 2)
 
 #: performance engines checked against the tree reference
-FAST_ENGINES: tuple[str, ...] = ("bytecode", "compiled")
+FAST_ENGINES: tuple[str, ...] = ("compiled",)
+
+#: profiled lanes as (engine, metrics on): every fast engine, plus the
+#: compiled engine with metrics collection on, whose generated code
+#: differs from the metrics-off code only by counter increments
+PROFILED_LANES: tuple[tuple[str, bool], ...] = tuple(
+    (engine, False) for engine in FAST_ENGINES
+) + (("compiled", True),)
 
 #: instruction budget per run — generated programs are tiny; anything
 #: hitting this is a runaway and gets skipped, not reported
@@ -74,7 +83,7 @@ class DifferentialOutcome:
 
     source: str
     result: RunResult
-    #: max_depth -> profile (from the last fast engine; all identical)
+    #: max_depth -> profile (from the last profiled lane; all identical)
     profiles: dict = field(default_factory=dict)
     checks: int = 0
     #: static-SP intervals the oracle hard-checked against dynamic values
@@ -104,22 +113,38 @@ def _describe(result: RunResult) -> str:
     )
 
 
-def _run_one(program, engine: str, profiled: bool, max_depth, max_instructions):
-    """Run one configuration; returns (result, serialized_profile, profile,
-    error). Exactly one of (result, error) is set."""
-    observer = (
-        KremlinProfiler(program, max_depth=max_depth) if profiled else None
-    )
-    interp = Interpreter(
-        program,
-        observer=observer,
-        max_instructions=max_instructions,
-        engine=engine,
-    )
-    try:
-        result = interp.run("main")
-    except (InterpreterError, ValueError, ZeroDivisionError, OverflowError) as error:
-        return None, None, None, f"{type(error).__name__}: {error}"
+def _run_one(
+    program,
+    engine: str,
+    profiled: bool,
+    max_depth,
+    max_instructions,
+    metrics: bool = False,
+):
+    """Run one configuration (under a fresh metrics registry when
+    ``metrics``); returns (result, serialized_profile, profile, error).
+    Exactly one of (result, error) is set."""
+    with collecting_metrics() if metrics else nullcontext():
+        observer = (
+            KremlinProfiler(program, max_depth=max_depth)
+            if profiled
+            else None
+        )
+        interp = Interpreter(
+            program,
+            observer=observer,
+            max_instructions=max_instructions,
+            engine=engine,
+        )
+        try:
+            result = interp.run("main")
+        except (
+            InterpreterError,
+            ValueError,
+            ZeroDivisionError,
+            OverflowError,
+        ) as error:
+            return None, None, None, f"{type(error).__name__}: {error}"
     if not profiled:
         return result, None, None, None
     profile = observer.profile
@@ -186,10 +211,12 @@ def run_differential(
                 f"plain {_describe(tree_result)} "
                 f"vs profiled {_describe(tree_prof_result)}",
             )
-        for engine in FAST_ENGINES:
+        for engine, metrics in PROFILED_LANES:
             prof_result, serial, profile, fast_error = _run_one(
-                program, engine, True, max_depth, max_instructions
+                program, engine, True, max_depth, max_instructions, metrics
             )
+            if metrics:
+                engine = f"{engine}+metrics"
             if tree_error is not None or fast_error is not None:
                 if tree_error == fast_error:
                     raise ProgramInvalid(

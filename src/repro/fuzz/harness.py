@@ -233,7 +233,7 @@ def fuzz_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="kremlin fuzz",
         description=(
-            "Differentially fuzz the tree and bytecode engines and check "
+            "Differentially fuzz the tree and compiled engines and check "
             "every produced profile against the HCPA invariant oracle."
         ),
     )

@@ -1,10 +1,6 @@
 """Ahead-of-time compiler: MiniC IR to native Python functions.
 
-The bytecode engine (:mod:`repro.interp.bytecode`) removed per-instruction
-dispatch by predecoding each basic block into step closures, but kept the
-``while pc >= 0: pc = code[pc](regs)`` trampoline and a shared register
-*list* per activation. This module removes those too: each MiniC function
-compiles to ONE Python function whose
+Each MiniC function compiles to ONE Python function whose
 
 * registers are plain locals (``r3``, not ``regs[3]``),
 * straight-line segments are single generated blocks with no dispatch,
@@ -22,30 +18,27 @@ Two flavors share the structurer and the statement generators:
   consumers, exactly one read, same block), so observable behavior —
   including error ordering — is unchanged.
 * **fused** bakes the :class:`~repro.kremlib.profiler.KremlinProfiler`
-  hook bodies in at codegen time. With metrics collection enabled it
-  reuses the exact :class:`~repro.kremlib.segments.SegmentEmitter`
-  fragments the fused bytecode decoder emits, statement for statement, so
-  observability counters match the bytecode engine's. Otherwise it runs a
-  *symbolic timestamp algebra* over each straight-line segment
-  (:class:`_SymTS`): per-event timestamp vectors stay symbolic — a const
-  floor plus per-source offsets over the segment's resolved shadow
-  entries — and only materialize when stored past a flush point. Dead
-  shadow stores are elided by block liveness, consumed (dominated) events
-  are skipped in the region fold, and the entry-resolution cache
-  survives region boundaries it provably cannot invalidate. All of it is
-  value-exact: serialized profiles stay bit-identical across the tree,
-  bytecode, and compiled engines (the differential suite, fuzz matrix,
-  and codegen-smoke CI job enforce it). Quickening is disabled in this
-  flavor: every register write also writes its shadow.
+  hook bodies in at codegen time and runs a *symbolic timestamp algebra*
+  over each straight-line segment (:class:`_SymTS`): per-event timestamp
+  vectors stay symbolic — a const floor plus per-source offsets over the
+  segment's resolved shadow entries — and only materialize when stored
+  past a flush point. Dead shadow stores are elided by block liveness,
+  consumed (dominated) events are skipped in the region fold, and the
+  entry-resolution cache survives region boundaries it provably cannot
+  invalidate. All of it is value-exact: serialized profiles stay
+  bit-identical to the tree engine's (the differential suite, fuzz
+  matrix, and codegen-smoke CI job enforce it). Quickening is disabled in
+  this flavor: every register write also writes its shadow. With metrics
+  on, the only difference in the generated source is one counter
+  increment line per counted quantity at each segment flush.
 
 Structuring is best-effort with hard safety rails: reducible CFGs from the
 MiniC lowerer structure exactly (branch joins come from the postdominator
 tree, loops from the natural-loop forest); anything that does not — or
 that would exceed the bounded code-duplication budget, Python's nesting
 limits, or the loop-depth guard — falls back to a per-function dispatch
-loop (``while True: if _b == k: ...``), which is still faster than the
-closure trampoline. A whole-module retry with forced dispatch guards
-against ``compile()`` rejecting deeply nested output.
+loop (``while True: if _b == k: ...``). A whole-module retry with forced
+dispatch guards against ``compile()`` rejecting deeply nested output.
 
 Generated source is **instance-independent**: interpreter-specific objects
 (global array storages, scalar cells, the interpreter itself) are referred
@@ -66,11 +59,6 @@ import time
 from repro.analysis.dominators import postdominator_tree
 from repro.analysis.loops import find_natural_loops
 from repro.interp.builtins import BUILTINS
-from repro.interp.bytecode import (
-    _PURE_BINOP_EXPRS,
-    _block_totals,
-    _is_inline_literal,
-)
 from repro.interp.errors import InterpreterError
 from repro.interp.interpreter import _MAX_CALL_DEPTH, _global_key
 from repro.ir.instructions import (
@@ -91,9 +79,30 @@ from repro.ir.instructions import (
 from repro.ir.types import FLOAT, INT, ArrayType
 from repro.ir.values import Constant, GlobalRef, Register, StringConst
 from repro.kremlib import shadow
-from repro.kremlib.segments import SegmentEmitter
 
 _PAD = "    "
+
+# Source templates for the side-effect-free binary ops; division and
+# modulo raise and carry C truncation semantics, so they get dedicated
+# multi-statement templates in the generators below.
+_PURE_BINOP_EXPRS = {
+    "+": "{a} + {b}",
+    "-": "{a} - {b}",
+    "*": "{a} * {b}",
+    "<": "1 if {a} < {b} else 0",
+    "<=": "1 if {a} <= {b} else 0",
+    ">": "1 if {a} > {b} else 0",
+    ">=": "1 if {a} >= {b} else 0",
+    "==": "1 if {a} == {b} else 0",
+    "!=": "1 if {a} != {b} else 0",
+    "&": "{a} & {b}",
+    "|": "{a} | {b}",
+    "^": "{a} ^ {b}",
+    "<<": "{a} << {b}",
+    ">>": "{a} >> {b}",
+    "&&": "1 if ({a} != 0 and {b} != 0) else 0",
+    "||": "1 if ({a} != 0 or {b} != 0) else 0",
+}
 
 # Ops whose results may be forward-substituted (quickened) into the next
 # consumer: pure and non-raising on type-checked operands. Division,
@@ -127,6 +136,23 @@ _MAX_LOOP_NESTING = 16
 # check arms without changing evaluation count: bare locals and
 # non-negative integer literals.
 _SIMPLE_INDEX_RE = re.compile(r"(?:r\d+|_gv\d+|\d+)\Z")
+
+
+def _is_inline_literal(value) -> bool:
+    """Can this constant be spliced into generated source as a literal?"""
+    if type(value) is int:
+        return True
+    if type(value) is float:
+        # repr() round-trips finite floats; inf/nan aren't literals.
+        return value == value and value not in (float("inf"), float("-inf"))
+    return False
+
+
+def _block_totals(block) -> tuple[int, int]:
+    """(retired instructions, total cost) of one basic block."""
+    retired = len(block.instructions) + 1
+    cost = sum(i.cost for i in block.instructions) + block.terminator.cost
+    return retired, cost
 
 
 class _Unstructured(Exception):
@@ -233,7 +259,6 @@ class _FunctionEmitter:
         self.arr_cache_used: set[int] = set()
         self._param_cache_lines: dict[int, list[str]] = {}
         self._collect_array_caches()
-        self._sym = 0
 
     def _collect_array_caches(self) -> None:
         fn = self.function
@@ -651,8 +676,8 @@ class _FunctionEmitter:
                 return repr(operand.value)
             return self.m.const_name(operand.value)
         if type(operand) is StringConst:
-            # "str" prefix: "_s{n}" would collide with SegmentEmitter's
-            # timestamp temporaries in fused functions.
+            # "str" prefix: "_s{n}" would collide with the fused
+            # emitter's timestamp temporaries (_ts_name).
             return self.m._name(operand.value, "str")
         if type(operand) is GlobalRef:
             if self.m.is_array_global(operand.name):
@@ -917,7 +942,8 @@ class _FunctionEmitter:
             return
         if _SIMPLE_INDEX_RE.fullmatch(index):
             # The slow arm binds the checked index first so a bad index
-            # still raises before the value conversion, like the decoder.
+            # still raises before the value conversion, like the tree
+            # engine.
             frag += [
                 f"if type({index}) is int and 0 <= {index} < {size_expr}:",
                 f"    {data}[{index}] = {conv}({value})",
@@ -1058,15 +1084,20 @@ def _live_out_sets(function) -> dict[int, frozenset]:
     return live_out
 
 
-class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
+class _FusedFunctionEmitter(_FunctionEmitter):
     """Compiles one function with KremlinProfiler semantics baked in.
 
-    Shadow registers are locals (``s{i}``); the profiling fragments come
-    from :class:`SegmentEmitter`, shared with the fused bytecode decoder,
-    so both engines emit identical profiling arithmetic. Segments reset at
-    every block boundary and flush at every terminator and call — the same
-    boundaries the bytecode decoder's closures impose — which keeps the
-    fold order, and therefore the serialized profile, bit-identical.
+    Shadow registers are locals (``s{i}``). Segments reset at every block
+    boundary and flush at every terminator, call, and region marker —
+    exactly the points where the tree profiler's incremental totals become
+    observable — which keeps the fold order, and therefore the serialized
+    profile, bit-identical to the tree engine's.
+
+    With metrics on, each flush also adds the segment's operand counts to
+    ``fastpath.known_hits``/``fastpath.entry_resolutions`` and its fully
+    stale resolutions to ``shadow.stale_evictions``. Those amounts are
+    fixed at codegen time, so they cost one increment line each and leave
+    every other generated statement unchanged.
     """
 
     fused = True
@@ -1074,25 +1105,21 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
     def __init__(self, m: "_FusedModuleEmitter", function):
         super().__init__(m, function)
         self.s_used: set[int] = set()
+        self._sym = 0  # numbers timestamp and resolution temporaries
         self._metrics_on = m.metrics_on
         self._max_depth = m.max_depth
         self._vthr = m.vector_threshold
         self.info = m.instrumentation.get(function.name)
-        # Symbolic segment algebra: events stay as (sources, offsets)
-        # tuples and only materialize timestamp lists where an entry
-        # escapes the segment. Values are provably identical to the
-        # per-event arithmetic, but the fastpath diagnostic counters are
-        # not, so metrics runs keep the mirrored SegmentEmitter fragments.
-        self.symbolic = not m.metrics_on
-        self.live_out = (
-            _live_out_sets(function) if self.symbolic else {}
-        )
+        self.live_out = _live_out_sets(function)
         self._seg_reset()
 
-    # SegmentEmitter host hook: shadow registers are locals here.
     def _sreg(self, index: int) -> str:
         self.s_used.add(index)
         return f"s{index}"
+
+    def _ts_name(self) -> str:
+        self._sym += 1
+        return f"_s{self._sym}"
 
     def _reset_state(self) -> None:
         super()._reset_state()
@@ -1101,14 +1128,30 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
     # -- symbolic segment engine ------------------------------------------
 
     def _seg_reset(self) -> None:
-        SegmentEmitter._seg_reset(self)
+        self._seg_known: dict[int, _SymTS] = {}
+        self._seg_cost = 0
+        self._seg_loaded = False
         self._src_reg: dict[int, _SymSource] = {}
         self._ctrl_source: _SymSource | None = None
         self._pending_sreg: dict[int, _SymTS] = {}
         self._seg_events: list[_SymTS] = []
         self._seg_consumed: set[int] = set()
+        # Metrics: operands served by segment dataflow, and per source the
+        # number of operand reads the tree profiler resolves against it.
+        self._seg_hits = 0
+        self._seg_uses: dict[_SymSource, int] = {}
 
-    def _gen_event(
+    def _seg_load(self, lines) -> None:
+        if not self._seg_loaded:
+            lines.append("_cu = state[0]")
+            lines.append("_dp = state[1]")
+            self._seg_loaded = True
+
+    def _resolved(self, src: _SymSource) -> None:
+        """Count one operand read resolved against ``src`` (metrics)."""
+        self._seg_uses[src] = self._seg_uses.get(src, 0) + 1
+
+    def _sym_event(
         self,
         lines,
         cost,
@@ -1116,43 +1159,9 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
         cell_expr=None,
         result_index=None,
         fresh_control=False,
-    ):
-        if not self.symbolic:
-            return SegmentEmitter._gen_event(
-                self,
-                lines,
-                cost,
-                reg_indices,
-                cell_expr=cell_expr,
-                result_index=result_index,
-                fresh_control=fresh_control,
-            )
-        return self._sym_event(
-            lines, cost, reg_indices, cell_expr, result_index, fresh_control
-        )
-
-    def _event_value(
-        self, lines, cost, reg_indices, cell_expr=None, fresh_control=False
-    ) -> str:
-        """Like :meth:`_gen_event` but always yields a materialized
-        timestamp name (the entry escapes the segment)."""
-        if not self.symbolic:
-            return SegmentEmitter._gen_event(
-                self,
-                lines,
-                cost,
-                reg_indices,
-                cell_expr=cell_expr,
-                fresh_control=fresh_control,
-            )
-        ts = self._sym_event(
-            lines, cost, reg_indices, cell_expr, None, fresh_control
-        )
-        return self._materialize(lines, ts)
-
-    def _sym_event(
-        self, lines, cost, reg_indices, cell_expr, result_index, fresh_control
     ) -> _SymTS:
+        """One profiling event: merge the operands' timestamps (symbolic)
+        and record the result for the segment's batched accounting."""
         self._seg_load(lines)
         raw: dict[_SymSource, int] = {}
         const = 0
@@ -1161,6 +1170,7 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
         for index in reg_indices:
             known = self._seg_known.get(index)
             if known is not None:
+                self._seg_hits += 1
                 self._seg_consumed.add(id(known))
                 all_covers.append(known.cover)
                 if known.conc is not None:
@@ -1178,18 +1188,21 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
                     const = known.const
             else:
                 src = self._reg_source(lines, index)
+                self._resolved(src)
                 if raw.get(src, -1) < 0:
                     raw[src] = 0
         if cell_expr is not None:
-            raw[self._entry_source(lines, cell_expr)] = 0
+            src = self._entry_source(lines, cell_expr)
+            self._resolved(src)
+            raw[src] = 0
         if fresh_control:
             # The branch terminator reads the control top after its own
             # truncation, so the segment cache cannot be used.
-            raw[
-                self._entry_source(
-                    lines, "control[-1][2] if control else None"
-                )
-            ] = 0
+            src = self._entry_source(
+                lines, "control[-1][2] if control else None"
+            )
+            self._resolved(src)
+            raw[src] = 0
         else:
             src = self._ctrl_src(lines)
             if raw.get(src, -1) < 0:
@@ -1217,6 +1230,16 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
             self._pending_sreg[result_index] = ts
         return ts
 
+    def _event_value(
+        self, lines, cost, reg_indices, cell_expr=None, fresh_control=False
+    ) -> str:
+        """Like :meth:`_sym_event` but always yields a materialized
+        timestamp name (the entry escapes the segment)."""
+        ts = self._sym_event(
+            lines, cost, reg_indices, cell_expr, None, fresh_control
+        )
+        return self._materialize(lines, ts)
+
     def _reg_source(self, lines, index: int) -> _SymSource:
         src = self._src_reg.get(index)
         if src is None:
@@ -1225,9 +1248,10 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
         return src
 
     def _entry_source(self, lines, expr: str) -> _SymSource:
-        """Resolve entry ``expr`` once into numbered locals; the same
-        statement-level resolve_entry the shared fragments use (plus
-        resolution-cache high-water upkeep, see _gen_region_exit)."""
+        """Resolve entry ``expr`` once into numbered locals: statement-level
+        :func:`~repro.kremlib.shadow.resolve_entry` against the current
+        tags, memoized in ``_rcache`` (see _gen_region_exit for the
+        high-water upkeep)."""
         self._sym += 1
         n = self._sym
         e, tm, vl = f"_e{n}", f"_tm{n}", f"_vl{n}"
@@ -1260,74 +1284,101 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
         return _SymSource("entry", tm, vl, f"{e} is not None")
 
     def _ctrl_src(self, lines) -> _SymSource:
+        """The control-top entry, resolved once per segment into
+        ``(_ctm, _cvl)`` (``_ctm is None`` when there is no influence)."""
         src = self._ctrl_source
         if src is None:
-            if self.symbolic:
-                self._sym_seg_control(lines)
-            else:
-                self._seg_control(lines)
+            lines += [
+                "_ce = control[-1][2] if control else None",
+                "if _ce is None:",
+                "    _ctm = None",
+                "else:",
+                "    _ctm, _ctg = _ce",
+                "    if _ctg is _cu:",
+                "        _cvl = len(_ctm)",
+                "        if _cvl > _dp:",
+                "            _cvl = _dp",
+                "    else:",
+                "        _cvl = _rcache.get(_ctg, -1)",
+                "        if _cvl < 0:",
+                "            _cvl = len(_ctg)",
+                "            if len(_cu) < _cvl:",
+                "                _cvl = len(_cu)",
+                "            _k = 0",
+                "            while _k < _cvl and _ctg[_k] == _cu[_k]:",
+                "                _k += 1",
+                "            _cvl = _k",
+                "            _rcache[_ctg] = _cvl",
+                "            if _cvl > _rmc[0]:",
+                "                _rmc[0] = _cvl",
+                "        if len(_ctm) < _cvl:",
+                "            _cvl = len(_ctm)",
+                "        if _cvl > _dp:",
+                "            _cvl = _dp",
+            ]
             src = _SymSource("ctrl", "_ctm", "_cvl", "_ctm is not None")
             self._ctrl_source = src
         return src
 
-    def _sym_seg_control(self, lines) -> None:
-        """Mixin _seg_control plus resolution-cache high-water upkeep."""
-        if self._seg_ctrl:
-            return
-        lines += [
-            "_ce = control[-1][2] if control else None",
-            "if _ce is None:",
-            "    _ctm = None",
-            "else:",
-            "    _ctm, _ctg = _ce",
-            "    if _ctg is _cu:",
-            "        _cvl = len(_ctm)",
-            "        if _cvl > _dp:",
-            "            _cvl = _dp",
-            "    else:",
-            "        _cvl = _rcache.get(_ctg, -1)",
-            "        if _cvl < 0:",
-            "            _cvl = len(_ctg)",
-            "            if len(_cu) < _cvl:",
-            "                _cvl = len(_cu)",
-            "            _k = 0",
-            "            while _k < _cvl and _ctg[_k] == _cu[_k]:",
-            "                _k += 1",
-            "            _cvl = _k",
-            "            _rcache[_ctg] = _cvl",
-            "            if _cvl > _rmc[0]:",
-            "                _rmc[0] = _cvl",
-            "        if len(_ctm) < _cvl:",
-            "            _cvl = len(_ctm)",
-            "        if _cvl > _dp:",
-            "            _cvl = _dp",
-        ]
-        self._seg_ctrl = True
-
-    # Resolution-cache maintenance across region boundaries. The mixin
-    # clears _rcache on every region event; a region ENTER actually
-    # preserves every cached common-prefix length exactly — the appended
-    # instance id is freshly allocated, so no cached tag can match it —
-    # and an EXIT only invalidates entries whose cached prefix overshoots
-    # the popped tag path. _rmc[0] tracks the cache's prefix high-water
-    # mark, so loop-level exits (the hot case: every cached prefix stops
-    # at or above the loop tag) skip the clear entirely.
+    # Region bodies (the profiler's on_region_enter/on_region_exit). The
+    # resolution cache maps a tags tuple to its common-prefix length with
+    # the current tags. A region ENTER preserves every cached length
+    # exactly — the appended instance id is freshly allocated, so no
+    # cached tag can match it — and an EXIT only invalidates entries whose
+    # cached prefix overshoots the popped tag path. _rmc[0] tracks the
+    # cache's prefix high-water mark, so loop-level exits (the hot case:
+    # every cached prefix stops at or above the loop tag) skip the clear.
     def _gen_region_enter(self, lines, static_id) -> None:
-        if not self.symbolic:
-            SegmentEmitter._gen_region_enter(self, lines, static_id)
-            return
-        sub: list[str] = []
-        SegmentEmitter._gen_region_enter(self, sub, static_id)
-        lines += [line for line in sub if line != "_rcache.clear()"]
+        maxd = self._max_depth
+        lines += [
+            f"_tk = len(stack) < {maxd}",
+            f"_rg = _ActiveRegion({static_id}, prof._next_instance, _tk)",
+            "prof._next_instance += 1",
+            "stack.append(_rg)",
+            "_tg = state[0] + (_rg.instance,)",
+            "state[0] = _tg",
+            "prof.tags = _tg",
+            "_td = len(stack)",
+            f"if _td > {maxd}:",
+            f"    _td = {maxd}",
+            "state[1] = _td",
+            "prof.tracked_depth = _td",
+            "if _tk:",
+            "    cps.append(0)",
+        ]
 
     def _gen_region_exit(self, lines, static_id) -> None:
-        if not self.symbolic:
-            SegmentEmitter._gen_region_exit(self, lines, static_id)
-            return
-        sub: list[str] = []
-        SegmentEmitter._gen_region_exit(self, sub, static_id)
-        lines += [line for line in sub if line != "_rcache.clear()"]
+        maxd = self._max_depth
         lines += [
+            "if not stack:",
+            "    raise ProfilerError(",
+            f"        'region_exit #{static_id} with empty region stack')",
+            "_rg = stack.pop()",
+            f"if _rg.static_id != {static_id}:",
+            "    raise ProfilerError(",
+            f"        'unbalanced regions: exiting #{static_id} but '",
+            "        '#%d is on top' % _rg.static_id)",
+            "_tg = state[0][:-1]",
+            "state[0] = _tg",
+            "prof.tags = _tg",
+            "_td = len(stack)",
+            f"if _td > {maxd}:",
+            f"    _td = {maxd}",
+            "state[1] = _td",
+            "prof.tracked_depth = _td",
+            "if _rg.tracked:",
+            "    _rg.cp = cps.pop()",
+            "_cp = _rg.cp",
+            "if not _rg.tracked or _cp > _rg.work:",
+            "    _cp = _rg.work",
+            "_c = _intern(_rg.static_id, _rg.work, _cp,",
+            "             tuple(sorted(_rg.children.items())))",
+            "if stack:",
+            "    _pr = stack[-1]",
+            "    _pr.work += _rg.work",
+            "    _pr.children[_c] = _pr.children.get(_c, 0) + 1",
+            "else:",
+            "    prof.root_char = _c",
             "if _rmc[0] > len(_tg):",
             "    _rcache.clear()",
             "    _rmc[0] = 0",
@@ -1405,12 +1456,27 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
         else:
             lines.append(pad + stmt)
 
-    def _seg_flush(self, lines, keep=None) -> None:
-        if not self.symbolic:
-            SegmentEmitter._seg_flush(self, lines)
-            return
+    def _count_segment(self, lines) -> None:
+        """Metrics: the segment's operand counters, as the tree profiler's
+        per-event hooks would count them. A source shared by several
+        events counts once per event that reads it."""
+        uses = self._seg_uses
+        if self._seg_hits:
+            lines.append(f"_mfp[0] += {self._seg_hits}")
+        if uses:
+            lines.append(f"_mres[0] += {sum(uses.values())}")
+        for src, weight in uses.items():
+            lines.append(
+                f"if {src.guard} and {src.vl} == 0: _mev[0] += {weight}"
+            )
+
+    def _seg_flush(self, lines, keep) -> None:
+        """Store the segment's live pending shadows (registers in ``keep``)
+        and fold its work and cp maxima into the region stack."""
+        if self._metrics_on:
+            self._count_segment(lines)
         for index, ts in self._pending_sreg.items():
-            if keep is not None and index not in keep:
+            if index not in keep:
                 continue  # shadow provably dead past this block
             tv = self._materialize(lines, ts)
             lines.append(f"{self._sreg(index)} = ({tv}, _cu)")
@@ -1495,28 +1561,26 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
 
     def _gen_instructions(self, frag: list[str], block) -> None:
         self._seg_reset()
-        if self.symbolic:
-            # Per-instruction keep sets for mid-block flushes (region ops
-            # and user calls): a pending shadow store may be elided there
-            # unless its register is read later in this block (including
-            # by the flushing instruction itself — calls resolve their
-            # argument sregs after the flush) or is live out of it.
-            keep = set(self.live_out.get(id(block), frozenset()))
-            for op in getattr(block.terminator, "operands", ()):
+        # Per-instruction keep sets for mid-block flushes (region ops and
+        # user calls): a pending shadow store may be elided there unless
+        # its register is read later in this block (including by the
+        # flushing instruction itself — calls resolve their argument sregs
+        # after the flush) or is live out of it.
+        keep = set(self.live_out[id(block)])
+        for op in getattr(block.terminator, "operands", ()):
+            if type(op) is Register:
+                keep.add(op.index)
+        mid: dict[int, frozenset] = {}
+        for instr in reversed(block.instructions):
+            for op in getattr(instr, "operands", ()):
                 if type(op) is Register:
                     keep.add(op.index)
-            mid: dict[int, frozenset] = {}
-            for instr in reversed(block.instructions):
-                for op in getattr(instr, "operands", ()):
-                    if type(op) is Register:
-                        keep.add(op.index)
-                mid[id(instr)] = frozenset(keep)
-            self._mid_keep = mid
+            mid[id(instr)] = frozenset(keep)
+        self._mid_keep = mid
         super()._gen_instructions(frag, block)
 
     def _mid_flush(self, frag: list[str], instr) -> None:
-        keep = self._mid_keep.get(id(instr)) if self.symbolic else None
-        self._seg_flush(frag, keep)
+        self._seg_flush(frag, self._mid_keep[id(instr)])
 
     def _gen_instr(self, frag: list[str], instr, nxt) -> None:
         cls = type(instr)
@@ -1535,7 +1599,7 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
 
     def _post_compute(self, frag: list[str], instr) -> None:
         # on_compute / on_builtin, fused.
-        self._gen_event(
+        self._sym_event(
             frag,
             instr.cost,
             instr.shadow_ops,
@@ -1580,7 +1644,7 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
             ]
             frag.append("_cm = mem_shadow.get(id(st))")
             cell = "None if _cm is None else _cm[i]"
-        self._gen_event(
+        self._sym_event(
             frag,
             instr.cost,
             instr.shadow_ops,
@@ -1639,7 +1703,7 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
     # -- terminators -------------------------------------------------------
 
     def _preterm(self, frag: list[str], block, term) -> None:
-        keep = self.live_out.get(id(block)) if self.symbolic else None
+        keep = self.live_out[id(block)]
         if type(term) is Jump:
             # No event fires for unconditional jumps.
             self._seg_flush(frag, keep)
@@ -1649,15 +1713,18 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
         # (and do not chain the new entry off the old one; see on_branch).
         info = self.m.instrumentation[self.function.name]
         block_key = id(block)
-        if self.symbolic and block in info.loop_branch_blocks:
+        if block in info.loop_branch_blocks:
             # Loop-continuation tests never push their own control entry,
             # so the back-edge truncation scan can never match and the
             # control top is unchanged since the segment started: skip the
-            # scan, reuse the cached resolution, stay symbolic.
+            # scan, reuse the cached resolution, stay symbolic. The tree
+            # profiler resolves that same control top afresh here, so it
+            # counts as one more read of the cached source.
             reg_indices = (
                 (term.cond.index,) if type(term.cond) is Register else ()
             )
-            self._sym_event(frag, term.cost, reg_indices, None, None, False)
+            self._sym_event(frag, term.cost, reg_indices)
+            self._resolved(self._ctrl_src(frag))
             self._seg_flush(frag, keep)
             return
         frag += [
@@ -1705,7 +1772,7 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
         tv = self._event_value(frag, term.cost, reg_indices)
         frag.append(f"prof._pending_return = {tv}")
         # Returning: every pending shadow store is dead past this point.
-        self._seg_flush(frag, frozenset() if self.symbolic else None)
+        self._seg_flush(frag, frozenset())
         frag.append("return v" if term.value is not None else "return None")
         return frag
 
@@ -1717,7 +1784,7 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
         cost = instr.cost
         args = [self._operand(arg) for arg in instr.args]
         # on_call: seed the callee's parameter shadows and charge the call
-        # overhead itself — same statement order as the fused decoder.
+        # overhead itself — same statement order as the tree profiler.
         frag.append("_cur = state[0]")
         frag.append("_tdp = state[1]")
         frag.append(

@@ -16,9 +16,10 @@ everything that can change the generated code:
 * the vectorization threshold (it changes the emitted fold statements),
 * the cost model (instruction costs are baked into the source as
   literals),
-* a digest of the emitter implementation itself (``codegen.py`` +
-  ``segments.py`` + ``shadow.py``), so editing the compiler silently
-  invalidates every stale entry without manual version bumps, and
+* a digest of the emitter implementation itself (``codegen.py`` plus
+  the defining module of every helper it imports from ``repro.interp``
+  and ``repro.kremlib``), so editing the compiler silently invalidates
+  every stale entry without manual version bumps, and
 * CPython's bytecode magic number (``marshal`` payloads are
   version-specific).
 
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import importlib
 import importlib.util
 import json
 import marshal
@@ -68,6 +70,17 @@ MAX_ENTRIES = 4096
 
 #: prune scan frequency, in writes per process
 _PRUNE_EVERY = 256
+
+#: modules whose source the generated code depends on: the emitter and
+#: every module it imports helpers from (constants such as the call-depth
+#: limit and the global-key table are baked into the generated source)
+EMITTER_MODULES = (
+    "repro.interp.codegen",
+    "repro.interp.builtins",
+    "repro.interp.errors",
+    "repro.interp.interpreter",
+    "repro.kremlib.shadow",
+)
 
 _stats = {
     "hits": 0,
@@ -140,24 +153,25 @@ def _count(name: str, amount: int = 1) -> None:
 # ----------------------------------------------------------------------
 
 
+def emitter_files() -> list[str]:
+    """Source files hashed into :func:`_emitter_digest`."""
+    return [
+        importlib.import_module(name).__file__ for name in EMITTER_MODULES
+    ]
+
+
 def _emitter_digest() -> str:
     """Digest of the code-emitting implementation itself.
 
-    Any edit to the AOT emitter, the shared segment fragments, or the
-    shadow kernels changes the generated source or its runtime helpers;
-    hashing their file contents makes stale entries unreachable without
-    anyone remembering to bump a version constant.
+    Any edit to the emitter or to a helper it bakes into the generated
+    source changes the code or its runtime contract; hashing their file
+    contents makes stale entries unreachable without anyone remembering
+    to bump a version constant.
     """
     global _emitter_digest_cache
     if _emitter_digest_cache is None:
         hasher = hashlib.sha256()
-        here = os.path.dirname(os.path.abspath(__file__))
-        kremlib = os.path.normpath(os.path.join(here, "..", "kremlib"))
-        for path in (
-            os.path.join(here, "codegen.py"),
-            os.path.join(kremlib, "segments.py"),
-            os.path.join(kremlib, "shadow.py"),
-        ):
+        for path in emitter_files():
             try:
                 with open(path, "rb") as handle:
                     hasher.update(handle.read())

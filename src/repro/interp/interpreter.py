@@ -131,13 +131,15 @@ class Interpreter:
 
     Two execution engines share this class:
 
-    * ``engine="bytecode"`` — the predecoded closure-dispatch
-      engine from :mod:`repro.interp.bytecode`. Supports ``observer=None``
-      (plain stream) and :class:`~repro.kremlib.profiler.KremlinProfiler`
-      (fused instrumented stream). Any other observer silently falls back
-      to the tree engine, which fires the full generic hook protocol.
-    * ``engine="tree"`` — the original tree-walking reference
-      implementation below, kept for differential testing.
+    * ``engine="compiled"`` (the default) — the AOT engine from
+      :mod:`repro.interp.codegen` / :mod:`repro.interp.runtime`: each
+      function compiles to one generated Python function. Supports
+      ``observer=None`` (plain flavor) and
+      :class:`~repro.kremlib.profiler.KremlinProfiler` (fused flavor, the
+      profiler's hook bodies baked in). Any other observer silently falls
+      back to the tree engine, which fires the full generic hook protocol.
+    * ``engine="tree"`` — the tree-walking reference implementation
+      below, kept for differential testing.
     """
 
     def __init__(
@@ -152,13 +154,12 @@ class Interpreter:
         self.observer = observer
         self.max_instructions = max_instructions
 
-        if engine not in ("bytecode", "tree", "compiled"):
+        if engine not in ("tree", "compiled"):
             raise InterpreterError(
-                f"unknown engine {engine!r} "
-                "(expected 'tree', 'bytecode', or 'compiled')"
+                f"unknown engine {engine!r} (expected 'tree' or 'compiled')"
             )
         if (
-            engine in ("bytecode", "compiled")
+            engine == "compiled"
             and observer is not None
             and not getattr(observer, "supports_fused_decode", False)
         ):
@@ -166,7 +167,6 @@ class Interpreter:
             # the tree engine fires.
             engine = "tree"
         self.engine = engine
-        self._bytecode = None
         self._compiled = None
 
         self.globals_scalar: dict[str, int | float] = {}
@@ -225,41 +225,26 @@ class Interpreter:
     # Execution
     # ------------------------------------------------------------------
 
-    def prepare(self) -> None:
-        """Eagerly decode/compile the selected engine's code.
-
-        Normally decode and codegen are lazy (first ``run()``); sessions
-        that want codegen cost up front — e.g. to cache compiled units
-        before timing runs — call this explicitly. No-op for the tree
-        engine.
-        """
-        if self.engine == "compiled":
+    def _compiled_engine(self):
+        if self._compiled is None:
             from repro.interp.runtime import CompiledEngine
 
-            if self._compiled is None:
-                self._compiled = CompiledEngine(self)
-            self._compiled.prepare()
-        elif self.engine == "bytecode":
-            from repro.interp.bytecode import BytecodeEngine
+            self._compiled = CompiledEngine(self)
+        return self._compiled
 
-            if self._bytecode is None:
-                self._bytecode = BytecodeEngine(self)
-            if not self._bytecode._decoded:
-                self._bytecode._decode()
+    def prepare(self) -> None:
+        """Eagerly compile the selected engine's code.
+
+        Normally codegen is lazy (first ``run()``); sessions that want
+        codegen cost up front — e.g. to cache compiled units before timing
+        runs — call this explicitly. No-op for the tree engine.
+        """
+        if self.engine == "compiled":
+            self._compiled_engine().prepare()
 
     def run(self, entry: str = "main", args: tuple = ()) -> RunResult:
         if self.engine == "compiled":
-            from repro.interp.runtime import CompiledEngine
-
-            if self._compiled is None:
-                self._compiled = CompiledEngine(self)
-            return self._compiled.run(entry, args)
-        if self.engine == "bytecode":
-            from repro.interp.bytecode import BytecodeEngine
-
-            if self._bytecode is None:
-                self._bytecode = BytecodeEngine(self)
-            return self._bytecode.run(entry, args)
+            return self._compiled_engine().run(entry, args)
         observer = self.observer
         if observer is not None:
             observer.on_run_start(self)

@@ -5,8 +5,8 @@ cached :class:`~repro.interp.codegen.CodegenUnit`: it builds the exec
 environment (instance-scoped names like ``cells``/``interp``/``counts``
 and the ``_go_*``/``_ga_*``/``_gid_*`` global-array bindings; profiler
 state mirrors for the fused flavor), executes the unit's code object to
-materialize the generated functions, and drives entry-point calls with
-the same run lifecycle the bytecode engine uses.
+materialize the generated functions, and drives entry-point calls through
+the observer's run lifecycle (``on_run_start``/``on_run_end``).
 
 Code objects are compiled once per program (cached on the program by
 :func:`~repro.interp.codegen.codegen_unit`); per-interpreter preparation
@@ -17,10 +17,20 @@ from __future__ import annotations
 
 import time
 
-from repro.interp.bytecode import _slow_index
 from repro.interp.codegen import codegen_unit
 from repro.interp.errors import InterpreterError
 from repro.interp.interpreter import ArrayStorage, RunResult
+
+
+def _slow_index(index, size: int, span) -> int:
+    """Out-of-line index check, same semantics as interpreter._check_index."""
+    if not isinstance(index, int):
+        raise InterpreterError(f"non-integer array index {index!r}", span)
+    if index < 0 or index >= size:
+        raise InterpreterError(
+            f"array index {index} out of bounds (size {size})", span
+        )
+    return index
 
 
 class CompiledEngine:
@@ -37,7 +47,9 @@ class CompiledEngine:
         #: wall-clock seconds spent in prepare() (codegen + env binding);
         #: near-zero on unit-cache hits. The bench harness records it.
         self.codegen_seconds = 0.0
-        # Fused-flavor profiler mirrors (same roles as FusedDecoder's).
+        # Fused-flavor profiler mirrors: [tags, tracked_depth] in a
+        # two-slot list, per-depth cp maxima for the tracked prefix of the
+        # region stack, and the tags -> common-prefix-length memo.
         self._state: list | None = None
         self._cps: list | None = None
         self._rcache: dict | None = None
@@ -85,11 +97,10 @@ class CompiledEngine:
             )
         else:
             # The Interpreter only routes KremlinProfiler observers here.
-            from repro.kremlib.fastpath import _compute_ts
             from repro.kremlib.profiler import ProfilerError, _ActiveRegion
             from repro.kremlib.shadow import (
+                _compute_ts,
                 fold_max_into,
-                merged_event,
                 resolve_entry,
             )
             from repro.obs.metrics import get_metrics, metrics_enabled
@@ -120,7 +131,6 @@ class CompiledEngine:
                     "_resolve": resolve_entry,
                     "_cts": _compute_ts,
                     "_vmax": fold_max_into,
-                    "_vts": merged_event,
                 }
             )
             if metrics_on:
@@ -189,7 +199,7 @@ class CompiledEngine:
             value = fn(*args, 0)
         else:
             # Entry-point shadow parameters start unwritten, exactly like
-            # the bytecode engine's fresh sregs list.
+            # the tree profiler's fresh shadow frame.
             value = fn(*args, *([None] * len(function.params)), 0)
         interp.instructions_retired = counts[0]
         interp.total_cost = counts[1]

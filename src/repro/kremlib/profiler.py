@@ -57,8 +57,8 @@ class ProfilerError(Exception):
 class KremlinProfiler(ExecutionObserver):
     """HCPA observer; attach to an :class:`Interpreter` and run."""
 
-    # The bytecode engine may fuse this observer's hook bodies into the
-    # decoded instruction stream (repro.kremlib.fastpath) instead of firing
+    # The compiled engine bakes this observer's hook bodies into its
+    # generated code (repro.interp.codegen, fused flavor) instead of firing
     # per-event callbacks; generic observers fall back to the tree engine.
     supports_fused_decode = True
 
@@ -84,7 +84,7 @@ class KremlinProfiler(ExecutionObserver):
         self._finished_profile: ParallelismProfile | None = None
 
         # Observability: the enabled flag is snapshotted at construction
-        # (same decode-time gating contract as the fused decoder), and the
+        # (same gating contract as the compiled engine's codegen), and the
         # counter cells are bound once so the guarded hot-path increments
         # are a single list-subscript bump.
         self._metrics_on = metrics_enabled()
@@ -519,8 +519,8 @@ def profile_program(
 
     Returns the parallelism profile and the ordinary run result (so callers
     can check the program's own outputs/return value). ``engine`` selects
-    the execution engine (``"compiled"`` AOT codegen, ``"bytecode"`` fused
-    closures, or the ``"tree"`` reference).
+    the execution engine (``"compiled"`` AOT codegen or the ``"tree"``
+    reference).
     """
     profiler = KremlinProfiler(program, max_depth=max_depth)
     interpreter = Interpreter(

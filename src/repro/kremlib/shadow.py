@@ -13,15 +13,14 @@ tuple). Depths beyond the valid prefix read as time 0 — exactly the paper's
 rule that data written by an exited sibling region instance "is discarded
 ... assuming time 0 instead" (§4.2).
 
-This module also hosts the **vectorized fold kernels** both profiling
-fast paths call from generated code when a straight-line segment carries
+This module also hosts the **vectorized fold kernel** the compiled
+engine's generated code calls when a straight-line segment carries
 at least :func:`vector_threshold` full-depth timestamp vectors: the
-per-depth availability merge (``max`` over event vectors + cost) and the
-region-stack cp fold become single numpy reductions instead of N Python
-loops. The kernels are value-exact — int64 max/add on Python ints, with
+region-stack cp fold becomes a single numpy reduction instead of N Python
+loops. The kernel is value-exact — int64 max on Python ints, with
 results converted back to Python ints — so serialized profiles stay
-byte-identical to the scalar forms (the differential suite enforces it).
-Below the threshold the emitters keep the scalar statements, which beat
+byte-identical to the scalar form (the differential suite enforces it).
+Below the threshold the emitter keeps the scalar statements, which beat
 numpy's per-call overhead on short segments.
 """
 
@@ -97,20 +96,6 @@ def fold_max_into(cps, vectors, dp) -> None:
             k += 1
 
 
-def merged_event(vectors, cost):
-    """Availability merge: pointwise ``max`` over full-depth vectors plus
-    the event cost, as a list of Python ints. Bound as ``_vts`` in the
-    generated-source environments."""
-    if _np is not None:
-        try:
-            return (
-                _np.array(vectors, dtype=_np.int64).max(axis=0) + cost
-            ).tolist()
-        except (OverflowError, ValueError):
-            pass
-    return [max(z) + cost for z in zip(*vectors)]
-
-
 def make_cell_table(count: int) -> list:
     """Array-backed second-level shadow table for one array storage.
 
@@ -137,6 +122,23 @@ class ShadowFrame:
     def __init__(self, num_registers: int):
         self.registers: list = [None] * num_registers
         self.control: list = []
+
+
+def _compute_ts(inputs, cost: int, depth: int) -> list:
+    """Reference merge: ts[d] = max over inputs of times[d] (0 beyond
+    validity) + cost. Bound as ``_cts`` for the compiled engine's call
+    sites; the per-segment generated code expands the same math inline."""
+    ts = [cost] * depth
+    for times, valid in inputs:
+        if valid > depth:
+            valid = depth
+        d = 0
+        for t in times[:valid]:
+            t += cost
+            if t > ts[d]:
+                ts[d] = t
+            d += 1
+    return ts
 
 
 def resolve_entry(entry, current_tags):

@@ -2,7 +2,7 @@
 
 Kremlin's whole pitch is gprof-style visibility into *other* programs;
 this package turns the same lens on the pipeline itself (frontend →
-instrument → interp/bytecode → KremLib HCPA → compress → plan), in the
+instrument → interp/codegen → KremLib HCPA → compress → plan), in the
 spirit of GAPP and TaskProf: when a profile run is slow you should be able
 to see *which stage* the wall-clock went to and what the hot-path counters
 were doing, without re-running under an external profiler.
@@ -14,7 +14,7 @@ Three zero-dependency pieces:
   (``lex``, ``parse``, ``lower``, ``verify``, ``instrument``, ``execute``,
   ``hcpa-update``, ``compress``, ``aggregate``, ``plan``, ...);
 * :mod:`repro.obs.metrics` — a registry of counters/gauges/histograms fed
-  from the hot paths (fast-path hit/miss in the fused decoder, shadow
+  from the hot paths (fast-path hit/miss in the compiled engine, shadow
   slot allocations/evictions, dictionary-compressor hit ratio, bytes
   serialized, instructions retired per engine);
 * :mod:`repro.obs.export` — exporters: a human-readable span tree, JSON
@@ -29,11 +29,12 @@ Disabled observability must be (nearly) free. Two mechanisms enforce it:
   instruction — and the disabled path is a module-level singleton
   :class:`~repro.obs.trace.NullTracer` whose ``span()`` returns a cached
   no-op context manager;
-* hot-path counters in the fused bytecode decoder are **decode-time
-  gated**: when metrics are disabled at decode time the generated closures
-  are byte-for-byte the same source as before this package existed, so
-  the disabled-tracing overhead on the bytecode engine is zero by
-  construction (the ``benchmarks/perf`` gate enforces <5% end to end).
+* hot-path counters in the compiled engine are **codegen-time gated**:
+  the increment lines are emitted only into units built with metrics
+  enabled, so a disabled run executes generated source with no counting
+  statement at all — its overhead is zero by construction. An enabled
+  run differs only by those increment lines (one per counter per
+  segment flush), never by a different code path.
 
 Profiles stay **byte-identical** with observability enabled: spans and
 counters observe the pipeline, they never feed back into timestamps, work,

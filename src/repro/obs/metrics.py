@@ -6,12 +6,12 @@ Two access patterns keep the hot paths honest:
 * **Guarded call sites** — ordinary code checks :func:`metrics_enabled`
   once per coarse event (a run, a frame, a serialization) and then calls
   ``registry.counter(name).inc(n)``.
-* **Boxed cells for generated code** — the fused bytecode decoder bakes
-  ``cell[0] += k`` statements into its generated closures, where ``cell``
-  is :attr:`Counter.cell`, a one-element list shared with the registry.
-  The decoder only emits those statements when metrics are enabled *at
-  decode time*, so a disabled run executes source identical to an
-  uninstrumented build — zero overhead by construction.
+* **Boxed cells for generated code** — the compiled engine bakes
+  ``cell[0] += k`` statements into its generated functions, where
+  ``cell`` is :attr:`Counter.cell`, a one-element list shared with the
+  registry. Codegen only emits those statements into units built with
+  metrics enabled, so a disabled run executes source with no counting
+  statement — zero overhead by construction.
 
 Metric names are dotted strings (``fastpath.known_hits``,
 ``shadow.stale_evictions``, ``compress.dict_hits``); the taxonomy is

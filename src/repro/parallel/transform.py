@@ -3,7 +3,7 @@
 The execution backend never re-implements the interpreter: it *rewrites
 the program* so that each statically-safe loop (a **site**) can run a
 contiguous sub-range of its iterations, then runs the rewritten program
-through the ordinary engines — the same three engines, byte for byte,
+through the ordinary engines — the same two engines, byte for byte,
 that the differential matrix already cross-checks.
 
 For each accepted site ``K`` the rewrite produces::

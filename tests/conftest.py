@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import analyze
+from repro import CompileOptions, KremlinSession
 from repro.hcpa.aggregate import aggregate_profile
 from repro.instrument.compile import kremlin_cc
 from repro.interp.interpreter import Interpreter
@@ -28,10 +28,10 @@ def _private_codegen_cache(tmp_path_factory):
 
 
 #: execution configurations behaviour tests can be parametrized over:
-#: the tree-walking reference, the predecoded bytecode engine, and the
-#: bytecode engine with the KremLib profiler attached (which swaps in the
-#: fused profiling fast paths — a third code path with identical semantics)
-ENGINE_MODES = ("tree", "bytecode", "fused")
+#: the tree-walking reference, the compiled engine, and the compiled
+#: engine with the KremLib profiler attached (which swaps in the fused
+#: codegen flavor — a third code path with identical semantics)
+ENGINE_MODES = ("tree", "compiled", "fused")
 
 
 def compile_source(source: str, filename: str = "test.c"):
@@ -42,18 +42,19 @@ def run_source(
     source: str,
     entry: str = "main",
     args: tuple = (),
-    engine_mode: str = "bytecode",
+    engine_mode: str = "compiled",
 ):
     """Compile and execute; returns RunResult.
 
     ``engine_mode`` is one of :data:`ENGINE_MODES`. Mode ``fused`` runs the
-    bytecode engine under the profiler so the fused decode paths execute;
-    the run result must still be indistinguishable from an unprofiled run.
+    compiled engine under the profiler so the fused generated code
+    executes; the run result must still be indistinguishable from an
+    unprofiled run.
     """
     program = kremlin_cc(source, "test.c")
     if engine_mode == "fused":
         observer = KremlinProfiler(program)
-        interp = Interpreter(program, observer=observer, engine="bytecode")
+        interp = Interpreter(program, observer=observer, engine="compiled")
     else:
         interp = Interpreter(program, engine=engine_mode)
     return interp.run(entry=entry, args=args)
@@ -131,4 +132,6 @@ def canonical_loops_report():
       return 0;
     }
     """
-    return analyze(source, "canonical.c")
+    return KremlinSession(
+        compile_options=CompileOptions(filename="canonical.c")
+    ).analyze(source)

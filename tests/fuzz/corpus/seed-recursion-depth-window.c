@@ -1,6 +1,6 @@
 // hand-seeded: recursion profiled under a depth window — untracked
 // region instances take the cp := work path, which once diverged between
-// the tree profiler and the fused bytecode fast paths
+// the tree profiler and the fused fast paths
 int depth(int n, int bias) {
   if (n <= 1) return bias;
   int local = (n * 3 + bias) % 97;

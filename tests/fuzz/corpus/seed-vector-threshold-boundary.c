@@ -1,7 +1,7 @@
 // hand-seeded: the vectorized shadow-kernel boundary — straight-line
 // blocks whose segments retire exactly at, just below, and well above
 // the default vector threshold (8 merged shadow events), so the numpy
-// _vmax/_vts folds and the scalar pairwise forms both execute in one
+// _vmax fold and the scalar pairwise forms both execute in one
 // program and their profiles must agree byte-for-byte; the loop-carried
 // accumulator keeps the folded timestamps distinct across iterations
 int a[16];

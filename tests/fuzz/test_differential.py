@@ -61,11 +61,12 @@ def test_profile_mismatch_reports_first_divergence(monkeypatch):
     from repro.fuzz import differential as module
 
     real = module._run_one
-    def skewed(program, engine, profiled, max_depth, max_instructions):
+    def skewed(program, engine, profiled, max_depth, max_instructions,
+               metrics=False):
         result, serialized, profile, error = real(
-            program, engine, profiled, max_depth, max_instructions
+            program, engine, profiled, max_depth, max_instructions, metrics
         )
-        if profiled and engine == "bytecode" and error is None:
+        if profiled and engine == "compiled" and error is None:
             data = json.loads(serialized)
             data["dictionary"][0]["cp"] += 1
             serialized = json.dumps(data, sort_keys=True)

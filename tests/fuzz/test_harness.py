@@ -6,7 +6,8 @@ import pytest
 
 from repro.fuzz.differential import run_differential, DifferentialFailure
 from repro.fuzz.harness import FuzzHarness, fuzz_main
-from repro.kremlib import fastpath
+from repro.interp import diskcache
+from repro.interp.codegen import _FusedFunctionEmitter
 
 
 def test_clean_run_over_seed_range(tmp_path):
@@ -24,20 +25,22 @@ def test_clean_run_over_seed_range(tmp_path):
 
 @pytest.fixture
 def planted_fastpath_bug(monkeypatch):
-    """Inject an off-by-one into the fused decoder's cost accounting — the
-    exact class of bug the differential fuzzer exists to catch: results
-    stay identical, only the bytecode engine's profile drifts."""
-    original = fastpath.FusedDecoder._gen_event
+    """Inject an off-by-one into the compiled engine's fused cost
+    accounting — the exact class of bug the differential fuzzer exists to
+    catch: results stay identical, only the compiled engine's profile
+    drifts. The disk cache is off for the duration: it keys on the
+    emitter's file bytes, not on this patch, and would otherwise serve
+    cached good units."""
+    original = _FusedFunctionEmitter._sym_event
 
-    def buggy(self, lines, cost, reg_indices, cell_expr=None,
-              result_index=None, fresh_control=False):
-        return original(
-            self, lines, cost + 1, reg_indices, cell_expr=cell_expr,
-            result_index=result_index, fresh_control=fresh_control,
-        )
+    def buggy(self, lines, cost, *args, **kwargs):
+        return original(self, lines, cost + 1, *args, **kwargs)
 
-    monkeypatch.setattr(fastpath.FusedDecoder, "_gen_event", buggy)
-    return buggy
+    monkeypatch.setattr(_FusedFunctionEmitter, "_sym_event", buggy)
+    previous = dict(diskcache._configured)
+    diskcache.configure(enabled=False)
+    yield buggy
+    diskcache.configure(**previous)
 
 
 def test_planted_fastpath_bug_is_caught_and_shrunk(

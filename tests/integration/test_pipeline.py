@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import analyze
+from repro import CompileOptions, KremlinSession, PlanOptions
 from repro.analysis.callgraph import build_call_graph
 from repro.analysis.loops import find_natural_loops
 from repro.bench_suite import run_benchmark
@@ -117,7 +117,9 @@ class TestEndToEndReportConsistency:
     """
 
     def test_report_components_agree(self):
-        report = analyze(self.SOURCE, "consistency.c")
+        report = KremlinSession(
+            compile_options=CompileOptions(filename="consistency.c")
+        ).analyze(self.SOURCE)
         # The plan's items all exist in the aggregation.
         for item in report.plan:
             assert item.static_id in report.aggregated.profiles
@@ -131,7 +133,10 @@ class TestEndToEndReportConsistency:
             assert top in report.render_regions()
 
     def test_analyze_personalities_share_profile(self):
-        report = analyze(self.SOURCE, "consistency.c", personality="openmp")
+        report = KremlinSession(
+            compile_options=CompileOptions(filename="consistency.c"),
+            plan_options=PlanOptions(personality="openmp"),
+        ).analyze(self.SOURCE)
         gprof_plan = report.replan(personality="gprof")
         assert len(gprof_plan) >= len(report.plan)
         openmp_again = report.replan(personality="openmp")

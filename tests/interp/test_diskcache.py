@@ -148,6 +148,34 @@ class TestKeying:
             ).run("main")
         assert diskcache.stats()["hits"] == 0
 
+    def test_emitter_digest_covers_every_codegen_helper_module(self):
+        """Generated source bakes in helpers codegen imports (the pure
+        binop templates, the call-depth limit, global keys); editing any
+        of their modules must change the key, so each must be hashed."""
+        import ast
+        import importlib
+
+        from repro.interp import codegen
+
+        with open(codegen.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        expected = {os.path.abspath(codegen.__file__)}
+        for node in tree.body:
+            if not isinstance(node, ast.ImportFrom) or not (
+                node.module.startswith(("repro.interp", "repro.kremlib"))
+            ):
+                continue
+            for alias in node.names:
+                try:
+                    module = importlib.import_module(
+                        f"{node.module}.{alias.name}"
+                    )
+                except ImportError:
+                    module = importlib.import_module(node.module)
+                expected.add(os.path.abspath(module.__file__))
+        hashed = {os.path.abspath(path) for path in diskcache.emitter_files()}
+        assert expected <= hashed, sorted(expected - hashed)
+
 
 class TestCorruption:
     def test_truncated_entry_is_invalidated_and_rebuilt(self, cache_dir):

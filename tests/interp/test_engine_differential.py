@@ -1,16 +1,18 @@
-"""Differential test: tree vs. bytecode vs. AOT-compiled engine.
+"""Differential test: tree vs. the AOT-compiled engine.
 
-The bytecode and compiled engines are performance reimplementations of
-the interpreter; the tree-walking engine is the reference. This file runs
-every benchmark in the suite under all three engines — plain and under
-the KremLib profiler — and asserts bit-identical results: the program's
-return value and output, the instruction accounting, and (for profiled
-runs) the serialized parallelism profile, byte for byte.
+The compiled engine is a performance reimplementation of the interpreter;
+the tree-walking engine is the reference. This file runs every benchmark
+in the suite under both engines — plain and under the KremLib profiler,
+and on the compiled engine once more with metrics collection on — and
+asserts bit-identical results: the program's return value and output,
+the instruction accounting, and (for profiled runs) the serialized
+parallelism profile, byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.bench_suite.registry import all_benchmarks, get_benchmark
 from repro.hcpa.serialize import profile_to_json
 from repro.interp.interpreter import Interpreter
 from repro.kremlib.profiler import KremlinProfiler
+from repro.obs import collecting_metrics
 
 NAMES = [benchmark.name for benchmark in all_benchmarks()]
 
@@ -31,10 +34,19 @@ def _program(name: str):
 
 
 def _run(name: str, engine: str, profiled: bool):
-    """Run one benchmark; returns (RunResult, serialized profile or None)."""
+    """Run one benchmark; returns (RunResult, serialized profile or None).
+
+    Engine ``compiled-metrics`` is the compiled engine run under a fresh
+    metrics registry, so its fused units carry the counter increments."""
     program = _program(name)
-    observer = KremlinProfiler(program) if profiled else None
-    result = Interpreter(program, observer=observer, engine=engine).run("main")
+    metrics = engine == "compiled-metrics"
+    with collecting_metrics() if metrics else nullcontext():
+        observer = KremlinProfiler(program) if profiled else None
+        result = Interpreter(
+            program,
+            observer=observer,
+            engine="compiled" if metrics else engine,
+        ).run("main")
     if not profiled:
         return result, None
     serialized = json.dumps(profile_to_json(observer.profile), sort_keys=True)
@@ -48,7 +60,7 @@ def _assert_same_result(a, b):
     assert a.total_cost == b.total_cost
 
 
-FAST_ENGINES = ("bytecode", "compiled")
+FAST_ENGINES = ("compiled", "compiled-metrics")
 
 
 @pytest.mark.parametrize("engine", FAST_ENGINES)

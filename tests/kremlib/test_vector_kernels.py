@@ -1,8 +1,7 @@
 """Vectorized shadow kernels: numpy folds must be invisible in profiles.
 
-``fold_max_into`` and ``merged_event`` (:mod:`repro.kremlib.shadow`)
-replace chains of pairwise ``max`` operations in wide segments with one
-numpy reduction. The contract is absolute byte-identity: a profile
+``fold_max_into`` (:mod:`repro.kremlib.shadow`) replaces chains of
+pairwise ``max`` operations in wide segments with one numpy reduction. The contract is absolute byte-identity: a profile
 produced with vectorization at any threshold serializes to exactly the
 same JSON as the scalar path on every engine — the threshold is a pure
 performance knob.
@@ -22,7 +21,7 @@ from repro.kremlib.profiler import KremlinProfiler
 
 numpy = pytest.importorskip("numpy")
 
-ENGINES = ("tree", "bytecode", "compiled")
+ENGINES = ("tree", "compiled")
 
 # A wide basic block: one segment retires far more than
 # DEFAULT_VECTOR_THRESHOLD shadow events, so thresholds 1-8 all force the
@@ -84,22 +83,12 @@ class TestKernels:
         shadow.fold_max_into(cps, ([], []), 0)
         assert cps == [1, 2]
 
-    def test_merged_event_matches_scalar_merge(self):
-        vectors = ([1, 7, 3], [6, 2, 8], [5, 5, 5])
-        merged = shadow.merged_event(vectors, 4)
-        assert merged == [10, 11, 12]
-        assert all(type(value) is int for value in merged)
-
     def test_kernels_survive_int64_overflow(self):
         """Values past int64 fall back to the exact scalar path."""
         huge = 2**80
         cps = [0, 0]
         shadow.fold_max_into(cps, ([huge, 1], [1, huge]), 2)
         assert cps == [huge, huge]
-        assert shadow.merged_event(([huge, 0], [0, huge]), 7) == [
-            huge + 7,
-            huge + 7,
-        ]
 
     def test_threshold_override_round_trips(self, threshold):
         previous = shadow.set_vector_threshold(3)

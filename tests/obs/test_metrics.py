@@ -2,9 +2,11 @@
 contract: observability must never perturb the profile itself."""
 
 import json
+import re
 import unittest
 
 from repro import CompileOptions, KremlinSession, ProfileOptions
+from repro.bench_suite.registry import get_benchmark
 from repro.fuzz.differential import run_differential
 from repro.hcpa.serialize import profile_to_json
 from repro.obs import (
@@ -52,7 +54,7 @@ class TestRegistryBasics(unittest.TestCase):
     def test_counter_cell_is_shared_with_registry(self):
         registry = MetricsRegistry()
         cell = registry.counter("boxed").cell
-        cell[0] += 7  # what generated bytecode closures do
+        cell[0] += 7  # what generated compiled-engine code does
         self.assertEqual(registry.counter("boxed").value, 7)
 
     def test_reset_zeroes_everything(self):
@@ -85,7 +87,7 @@ class TestRegistryBasics(unittest.TestCase):
 
 
 class TestExactHotPathCounts(unittest.TestCase):
-    """The fused decoder's counter emission is deterministic: the same
+    """The compiled engine's counter emission is deterministic: the same
     program must always produce the same exact counts."""
 
     def _analyze_counts(self) -> dict:
@@ -105,6 +107,28 @@ class TestExactHotPathCounts(unittest.TestCase):
 
     def test_counts_are_reproducible(self):
         self.assertEqual(self._analyze_counts(), self._analyze_counts())
+
+    def test_hot_path_counts_are_pinned(self):
+        counters = self._analyze_counts()
+        self.assertEqual(
+            {
+                name: counters[name]
+                for name in (
+                    "fastpath.known_hits",
+                    "fastpath.entry_resolutions",
+                    "shadow.stale_evictions",
+                    "shadow.cell_writes",
+                    "shadow.frames",
+                )
+            },
+            {
+                "fastpath.known_hits": 31,
+                "fastpath.entry_resolutions": 33,
+                "shadow.stale_evictions": 1,
+                "shadow.cell_writes": 0,
+                "shadow.frames": 1,
+            },
+        )
 
     def test_expected_counters_are_present_and_sane(self):
         counters = self._analyze_counts()
@@ -130,7 +154,7 @@ class TestExactHotPathCounts(unittest.TestCase):
                 profile_options=ProfileOptions(engine="tree")
             ).analyze(COUNTING_SOURCE)
         counters = registry.to_dict()["counters"]
-        # The tree engine never runs generated code, so the decode-time
+        # The tree engine never runs generated code, so the codegen-time
         # fastpath counters must stay absent or zero.
         self.assertEqual(counters.get("fastpath.known_hits", 0), 0)
         self.assertEqual(counters["shadow.frames"], 1)
@@ -173,14 +197,14 @@ int main() {
         return json.dumps(profile_to_json(report.profile), sort_keys=True)
 
     def test_profiles_identical_with_and_without_observability(self):
-        baseline = self._profile_bytes("bytecode", observed=False)
-        self.assertEqual(baseline, self._profile_bytes("bytecode", True))
+        baseline = self._profile_bytes("compiled", observed=False)
+        self.assertEqual(baseline, self._profile_bytes("compiled", True))
         self.assertEqual(baseline, self._profile_bytes("tree", False))
         self.assertEqual(baseline, self._profile_bytes("tree", True))
 
     def test_differential_oracle_passes_under_observability(self):
-        # The PR 2 differential runner is the strongest oracle we have:
-        # run it with metrics + tracing installed and it must still see
+        # The differential runner is the strongest oracle we have: run it
+        # with metrics + tracing installed and it must still see
         # bit-identical profiles from both engines.
         from repro.obs import tracing
 
@@ -188,6 +212,43 @@ int main() {
             with tracing():
                 outcome = run_differential(self.SOURCE)
         self.assertGreater(outcome.checks, 0)
+
+
+
+# One metrics statement: an optional one-line guard, then a counter bump.
+_COUNTER_LINE = re.compile(
+    r"^\s*(?:if [^:]+: )?_m(?:fp|res|ev|cell|fr)\[0\] \+= \d+$"
+)
+
+
+class TestMetricsNeverChangeTheCodePath(unittest.TestCase):
+    """With metrics on, the fused unit must run the production code: its
+    source may differ from the metrics-off unit only by counter lines."""
+
+    def test_metrics_source_differs_only_by_counter_increments(self):
+        from repro.interp.codegen import build_unit
+
+        for name in ("is", "mg"):
+            program = get_benchmark(name).compile()
+            for depth in (1 << 30, 2):
+                on = build_unit(
+                    program, "fused", max_depth=depth, metrics_on=True
+                ).source
+                off = build_unit(
+                    program, "fused", max_depth=depth, metrics_on=False
+                ).source
+                counted = [
+                    line
+                    for line in on.split("\n")
+                    if _COUNTER_LINE.match(line)
+                ]
+                stripped = "\n".join(
+                    line
+                    for line in on.split("\n")
+                    if not _COUNTER_LINE.match(line)
+                )
+                self.assertTrue(counted, (name, depth))
+                self.assertEqual(stripped, off, (name, depth))
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ class TestInlineExecution:
         assert stats["main#loop2"].dispatched_chunks == 2
         assert outcome.dispatched_chunks == 4
 
-    @pytest.mark.parametrize("engine", ["tree", "bytecode", "compiled"])
+    @pytest.mark.parametrize("engine", ["tree", "compiled"])
     def test_every_engine_verifies(self, engine):
         outcome = execute(DOALL_AND_REDUCTION, workers=2, engine=engine)
         assert outcome.executed

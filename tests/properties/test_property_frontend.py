@@ -103,12 +103,12 @@ def test_random_loop_nests_profile_cleanly(params):
         instances *= bound
 
 
-@pytest.mark.parametrize("plain_engine", ("tree", "bytecode"))
+@pytest.mark.parametrize("plain_engine", ("tree", "compiled"))
 @given(random_loop_programs())
 @settings(max_examples=15, deadline=None)
 def test_profiling_never_changes_program_output(plain_engine, params):
-    """Holds for both engines: the profiler (and, on the bytecode engine,
-    its fused fast paths) must not perturb execution."""
+    """Holds for both engines: the profiler (run on the compiled engine's
+    fused flavor) must not perturb execution."""
     source, expected, _, _ = params
     from repro.interp.interpreter import Interpreter
 

@@ -8,7 +8,7 @@ from tests.conftest import ENGINE_MODES, run_source
 
 
 #: run every differential property under all three execution paths:
-#: tree reference, bytecode engine, and bytecode + fused profiling.
+#: tree reference, compiled engine, and compiled + fused profiling.
 #: (pytest parametrization, not a fixture — Hypothesis forbids combining
 #: @given with function-scoped fixtures)
 all_engines = pytest.mark.parametrize("engine_mode", ENGINE_MODES)

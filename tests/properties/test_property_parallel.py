@@ -2,7 +2,7 @@
 
 Every generated program runs through the inline parallel executor (the
 deterministic in-process transport — same chunking, masking, and merge
-code as the pool, minus process shipping) across all three engines and
+code as the pool, minus process shipping) across both engines and
 1/2/4 workers. The executor's own verification is the oracle: final
 scalar/array state, return value, and output must match the serial run
 exactly (``outcome.mismatch is None``). A ``slow_parallel``-marked subset
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 from repro.parallel.executor import ParallelExecutor, ParallelOptions
 
-ENGINES = ("tree", "bytecode", "compiled")
+ENGINES = ("tree", "compiled")
 
 all_engines = pytest.mark.parametrize("engine", ENGINES)
 all_workers = pytest.mark.parametrize("workers", [1, 2, 4])

@@ -1,5 +1,5 @@
-"""The repro.api session facade, the deprecation shim, and the planner
-registry."""
+"""The repro.api session facade, the one-shot ``repro.analyze``, and the
+planner registry."""
 
 import dataclasses
 import json
@@ -53,11 +53,11 @@ class TestFrozenOptions(unittest.TestCase):
 class TestKremlinSession(unittest.TestCase):
     def test_session_analyze_matches_legacy_analyze(self):
         session_report = KremlinSession(
-            compile_options=CompileOptions(filename="prog.c")
+            compile_options=CompileOptions(),
+            profile_options=ProfileOptions(),
+            plan_options=PlanOptions(),
         ).analyze(SOURCE)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy_report = analyze(SOURCE, filename="prog.c")
+        legacy_report = analyze(SOURCE)
         self.assertEqual(
             json.dumps(profile_to_json(session_report.profile)),
             json.dumps(profile_to_json(legacy_report.profile)),
@@ -297,31 +297,18 @@ class TestSessionServe(unittest.TestCase):
 
 
 class TestDeprecationShim(unittest.TestCase):
+    """The package-root one-shot helpers: ``analyze(source)`` only; the
+    deprecated option kwargs are gone in favour of KremlinSession."""
+
     def test_plain_analyze_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             report = analyze(SOURCE)
         self.assertEqual(report.run.value, sum(range(12)))
 
-    def test_legacy_kwargs_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            analyze(SOURCE, personality="gprof", filename="old.c")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        self.assertEqual(len(deprecations), 1)
-        message = str(deprecations[0].message)
-        self.assertIn("filename", message)
-        self.assertIn("personality", message)
-        self.assertIn("KremlinSession", message)
-
-    def test_legacy_kwargs_still_work(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            report = analyze(SOURCE, filename="old.c", personality="cilk")
-        self.assertEqual(report.plan.program_name, "old.c")
-        self.assertEqual(report.plan.personality, "cilk")
+    def test_legacy_kwargs_are_rejected(self):
+        with self.assertRaises(TypeError):
+            analyze(SOURCE, filename="old.c")
 
     def test_make_planner_still_exported(self):
         self.assertIsInstance(repro.make_planner("openmp"), OpenMPPlanner)

@@ -64,14 +64,16 @@ class TestKremlinCli:
         assert main([source_file]) == 0
         first = capsys.readouterr().out
         # grab the top region's id via the library instead of parsing
-        from repro import analyze
+        from repro import CompileOptions, KremlinSession
 
-        report = analyze(TRACKING_LITE, "prog.c")
+        report = KremlinSession(
+            compile_options=CompileOptions(filename="prog.c")
+        ).analyze(TRACKING_LITE)
         top = report.plan[0].static_id
         assert main([source_file, f"--exclude={top}"]) == 0
 
     def test_engine_flag_accepts_each_engine(self, source_file, capsys):
-        for engine in ("compiled", "bytecode", "tree"):
+        for engine in ("compiled", "tree"):
             assert main([source_file, f"--engine={engine}"]) == 0
             assert "Parallelism plan" in capsys.readouterr().out
 
@@ -82,6 +84,16 @@ class TestKremlinCli:
         err = capsys.readouterr().err
         assert "unknown engine 'compield'" in err
         assert "did you mean 'compiled'?" in err
+
+    @pytest.mark.parametrize("subcommand", [[], ["run"], ["submit"], ["trace"]])
+    def test_removed_bytecode_engine_exits_2(
+        self, subcommand, source_file, capsys
+    ):
+        with pytest.raises(SystemExit) as caught:
+            main([*subcommand, source_file, "--engine=bytecode"])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown engine 'bytecode': choose from compiled, tree" in err
 
     def test_missing_file_fails_cleanly(self, capsys):
         assert main(["/nonexistent/prog.c"]) == 1
