@@ -14,18 +14,9 @@ from repro.hcpa.self_parallelism import self_work
 from repro.hcpa.summaries import ParallelismProfile
 from repro.instrument.regions import RegionKind, StaticRegion
 
-try:  # numpy is a declared dependency, but stay importable without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar path
-    _np = None
-
 #: A loop is classified DOALL when its self-parallelism is equivalent to its
 #: iteration count (§5.1); "equivalent" uses this relative tolerance.
 DOALL_RATIO = 0.7
-
-#: dictionaries below this many characters aggregate through the scalar
-#: loop — numpy's per-array overhead beats the win on tiny profiles
-VECTOR_MIN_ENTRIES = 64
 
 
 @dataclass
@@ -140,26 +131,8 @@ class AggregatedProfile:
 
 
 def aggregate_profile(profile: ParallelismProfile) -> AggregatedProfile:
-    """Aggregate a compressed profile into per-static-region statistics.
-
-    Dictionaries past :data:`VECTOR_MIN_ENTRIES` characters take the
-    numpy array pass (:func:`_aggregate_numpy`); both paths compute the
-    same integer sums (the equivalence suite asserts it), so planners
-    see identical profiles whichever ran.
-    """
-    if _np is not None and len(profile.dictionary.entries) >= (
-        VECTOR_MIN_ENTRIES
-    ):
-        try:
-            return _aggregate_numpy(profile)
-        except OverflowError:
-            # Sums past int64: fall back to arbitrary-precision Python.
-            pass
-    return _aggregate_scalar(profile)
-
-
-def _aggregate_scalar(profile: ParallelismProfile) -> AggregatedProfile:
-    """Reference implementation: one Python pass over the dictionary."""
+    """Aggregate a compressed profile into per-static-region statistics
+    in one Python pass over the dictionary."""
     dictionary = profile.dictionary
     entries = dictionary.entries
     counts = profile.char_counts()
@@ -213,112 +186,3 @@ def _aggregate_scalar(profile: ParallelismProfile) -> AggregatedProfile:
         total_work=root_entry.work,
     )
 
-
-def _aggregate_numpy(profile: ParallelismProfile) -> AggregatedProfile:
-    """Array-pass aggregation: the per-character work/cp/self-work sums
-    become int64 scatter-adds over the flattened children lists.
-
-    All accumulation is exact int64 (``np.add.at``, never float
-    ``bincount`` weights); array construction raises ``OverflowError``
-    on values past 2**63, which the caller catches to take the scalar
-    path. ``sp_numerator`` converts once at the end — identical to the
-    scalar path's stepwise float accumulation for any sum below 2**53.
-    """
-    dictionary = profile.dictionary
-    entries = dictionary.entries
-    n = len(entries)
-    regions = profile.regions
-    counts = _np.asarray(profile.char_counts(), dtype=_np.int64)
-    static_id = _np.fromiter(
-        (e.static_id for e in entries), _np.int64, count=n
-    )
-    work = _np.fromiter((e.work for e in entries), _np.int64, count=n)
-    cp = _np.fromiter((e.cp for e in entries), _np.int64, count=n)
-
-    region_by_id: dict[int, StaticRegion] = {}
-    is_body = _np.empty(n, dtype=bool)
-    for i, entry in enumerate(entries):
-        region = region_by_id.get(entry.static_id)
-        if region is None:
-            region = regions.region(entry.static_id)
-            region_by_id[entry.static_id] = region
-        is_body[i] = region.is_body
-
-    # Flatten the children lists of live characters (count > 0); dead
-    # characters contribute nothing, exactly like the scalar skip.
-    active = counts > 0
-    parent_rows: list[int] = []
-    child_chars: list[int] = []
-    child_counts: list[int] = []
-    for i, entry in enumerate(entries):
-        if not active[i]:
-            continue
-        for child_char, child_count in entry.children:
-            parent_rows.append(i)
-            child_chars.append(child_char)
-            child_counts.append(child_count)
-    m = len(parent_rows)
-    children_cp = _np.zeros(n, dtype=_np.int64)
-    children_work = _np.zeros(n, dtype=_np.int64)
-    body_instances = _np.zeros(n, dtype=_np.int64)
-    children_edges: dict[int, set[int]] = {}
-    if m:
-        pidx = _np.fromiter(parent_rows, _np.int64, count=m)
-        cchar = _np.fromiter(child_chars, _np.int64, count=m)
-        ccnt = _np.fromiter(child_counts, _np.int64, count=m)
-        _np.add.at(children_cp, pidx, ccnt * cp[cchar])
-        _np.add.at(children_work, pidx, ccnt * work[cchar])
-        _np.add.at(
-            body_instances, pidx, _np.where(is_body[cchar], ccnt, 0)
-        )
-        pairs = _np.unique(
-            _np.stack((static_id[pidx], static_id[cchar]), axis=1), axis=0
-        )
-        for parent_sid, child_sid in pairs.tolist():
-            children_edges.setdefault(parent_sid, set()).add(child_sid)
-
-    sw = work - children_work
-    _np.maximum(sw, 0, out=sw)  # eq. 2's defensive clamp (self_work)
-
-    act = _np.nonzero(active)[0]
-    sid_act = static_id[act]
-    uniq, inverse = _np.unique(sid_act, return_inverse=True)
-    cnt_act = counts[act]
-
-    def _accumulate(values):
-        out = _np.zeros(len(uniq), dtype=_np.int64)
-        _np.add.at(out, inverse, values)
-        return out
-
-    instances = _accumulate(cnt_act)
-    total_work_arr = _accumulate(cnt_act * work[act])
-    total_cp = _accumulate(cnt_act * cp[act])
-    total_sw = _accumulate(cnt_act * sw[act])
-    total_sp_num = _accumulate(cnt_act * (children_cp + sw)[act])
-    total_iters = _accumulate(cnt_act * body_instances[act])
-
-    accumulators: dict[int, RegionProfile] = {}
-    for j, sid in enumerate(uniq.tolist()):
-        region = region_by_id[sid]
-        accumulators[sid] = RegionProfile(
-            region=region,
-            instances=int(instances[j]),
-            work=int(total_work_arr[j]),
-            cp=int(total_cp[j]),
-            sp_numerator=float(total_sp_num[j]),
-            self_work=int(total_sw[j]),
-            iterations=int(total_iters[j]) if region.is_loop else 0,
-        )
-
-    root_entry = profile.root_entry
-    total_work = root_entry.work if root_entry.work > 0 else 1
-    for acc in accumulators.values():
-        acc.coverage = acc.work / total_work
-
-    return AggregatedProfile(
-        profiles=accumulators,
-        source_profile=profile,
-        children=children_edges,
-        root_static_id=root_entry.static_id,
-        total_work=root_entry.work,
-    )

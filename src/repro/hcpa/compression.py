@@ -13,18 +13,9 @@ from dataclasses import dataclass
 
 from repro.hcpa.summaries import ParallelismProfile
 
-try:  # numpy is a declared dependency, but stay importable without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar path
-    _np = None
-
 #: Bytes per raw dynamic-region summary: static id (4), work (8), cp (8),
 #: parent instance link (8), plus 4 bytes of framing.
 RAW_RECORD_BYTES = 32
-
-#: dictionaries below this many characters count child pairs with the
-#: plain generator sum; above it, one int64 array reduction
-VECTOR_MIN_ENTRIES = 256
 
 #: Fixed part of a dictionary record: char (4), static id (4), work (8),
 #: cp (8), child-list length (4).
@@ -61,16 +52,7 @@ class CompressionStats:
 def compression_stats(profile: ParallelismProfile) -> CompressionStats:
     dictionary = profile.dictionary
     entries = dictionary.entries
-    if _np is not None and len(entries) >= VECTOR_MIN_ENTRIES:
-        child_pairs = int(
-            _np.fromiter(
-                (len(entry.children) for entry in entries),
-                _np.int64,
-                count=len(entries),
-            ).sum()
-        )
-    else:
-        child_pairs = sum(len(entry.children) for entry in entries)
+    child_pairs = sum(len(entry.children) for entry in entries)
     compressed = (
         4  # root character
         + DICT_RECORD_FIXED_BYTES * len(entries)

@@ -52,6 +52,8 @@ class ProfileVersionError(ProfileFormatError):
 
 def _check_header(data: dict) -> None:
     """Validate the magic + schema-version header before any other key."""
+    if not isinstance(data, dict):
+        raise ProfileFormatError("profile file must contain a JSON object")
     magic = data.get("format")
     if magic != FORMAT_NAME:
         raise ProfileFormatError(
@@ -63,6 +65,15 @@ def _check_header(data: dict) -> None:
         raise ProfileVersionError(version)
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` if its type is exactly ``kind`` (so ``True`` is no int)."""
+    if type(value) is not kind:
+        raise ProfileFormatError(
+            f"{what}: expected {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
 def _span_to_json(span: SourceSpan) -> dict:
     return {
         "file": span.filename,
@@ -72,11 +83,13 @@ def _span_to_json(span: SourceSpan) -> dict:
 
 
 def _span_from_json(data: dict) -> SourceSpan:
-    return SourceSpan(
-        SourceLocation(*data["start"]),
-        SourceLocation(*data["end"]),
-        data["file"],
-    )
+    (sl, sc), (el, ec), filename = data["start"], data["end"], data["file"]
+    if not (
+        type(sl) is type(sc) is type(el) is type(ec) is int
+        and type(filename) is str
+    ):
+        raise ValueError(f"malformed span {data!r}")
+    return SourceSpan(SourceLocation(sl, sc), SourceLocation(el, ec), filename)
 
 
 def profile_to_json(profile: ParallelismProfile) -> dict:
@@ -124,8 +137,10 @@ def profile_from_json(data: dict) -> ParallelismProfile:
     """Decode a profile produced by :func:`profile_to_json`.
 
     Raises :class:`ProfileVersionError` on a schema-version mismatch and
-    :class:`ProfileFormatError` on anything else malformed — never a raw
-    ``KeyError`` from a missing section.
+    :class:`ProfileFormatError` on any other structural defect — a
+    missing section, a non-record entry, a wrongly typed field, or an
+    out-of-range reference — never a bare builtin exception. The checks
+    run inside the one decode pass.
     """
     _check_header(data)
     missing = [
@@ -146,59 +161,99 @@ def profile_from_json(data: dict) -> ParallelismProfile:
         )
 
     regions = StaticRegionTree()
-    for record in data["regions"]:
-        region = regions.add(
-            RegionKind(record["kind"]),
-            record["name"],
-            _span_from_json(record["span"]),
-            None,  # parents wired below to preserve original ids
-            record["function"],
-            loop_depth=record["loop_depth"],
-        )
-        # Older profiles predate the static analyzer: default to "?".
-        region.verdict = record.get("verdict", "?")
-        cost_record = record.get("static_cost")
-        if cost_record is not None:
-            from repro.analysis.static_cost import cost_from_json
+    for index, record in enumerate(_typed(data["regions"], list, "regions")):
+        try:
+            region_id, parent = record["id"], record["parent"]
+            name, function = record["name"], record["function"]
+            loop_depth = record["loop_depth"]
+            kind = RegionKind(record["kind"])
+            span = _span_from_json(record["span"])
+            # Older profiles predate the static analyzer: default to "?".
+            verdict = record.get("verdict", "?")
+            static_cost = record.get("static_cost")
+            if static_cost is not None:
+                from repro.analysis.static_cost import cost_from_json
 
-            region.static_cost = cost_from_json(cost_record)
-        if region.id != record["id"]:
+                static_cost = cost_from_json(static_cost)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProfileFormatError(
+                f"region record {index} is malformed: {exc!r}"
+            ) from None
+        if type(region_id) is not int or region_id != index:
             raise ProfileFormatError("region ids must be dense and ordered")
-    # Re-establish parent/children links exactly as stored.
-    for record in data["regions"]:
-        if record["parent"] is not None:
-            region = regions.region(record["id"])
-            parent = regions.region(record["parent"])
-            region.parent_id = parent.id
-            parent.children_ids.append(region.id)
+        # A parent precedes its children, which also rules out cycles.
+        if parent is not None and (
+            type(parent) is not int or not 0 <= parent < index
+        ):
+            raise ProfileFormatError(
+                f"region record {index} has invalid parent {parent!r}"
+            )
+        if not (
+            type(name) is type(function) is type(verdict) is str
+            and type(loop_depth) is int
+        ):
+            raise ProfileFormatError(
+                f"region record {index}: name, function and verdict must "
+                "be strings and loop_depth an integer"
+            )
+        region = regions.add(
+            kind, name, span, parent, function, loop_depth=loop_depth
+        )
+        region.verdict = verdict
+        region.static_cost = static_cost
+    region_count = len(regions)
 
     dictionary = CompressionDictionary()
-    for char, record in enumerate(data["dictionary"]):
-        children = tuple((int(c), int(n)) for c, n in record["children"])
-        for child_char, _count in children:
-            if child_char >= char:
+    records = _typed(data["dictionary"], list, "dictionary")
+    for char, record in enumerate(records):
+        try:
+            static, work, cp = record["static"], record["work"], record["cp"]
+            pairs = record["children"]
+            children = tuple([(c, n) for c, n in pairs])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProfileFormatError(
+                f"dictionary entry {char} is malformed: {exc!r}"
+            ) from None
+        if not (
+            type(static) is type(work) is type(cp) is int
+            and type(pairs) is list
+            and 0 <= static < region_count
+        ):
+            raise ProfileFormatError(
+                f"dictionary entry {char}: static, work and cp must be "
+                "integers, static a known region and children a list"
+            )
+        for child_char, count in children:
+            if not (
+                type(child_char) is type(count) is int
+                and 0 <= child_char < char
+            ):
                 raise ProfileFormatError(
-                    "dictionary is not in leaf-first order"
+                    f"dictionary entry {char} child {child_char!r}: children "
+                    "must be integer pairs in leaf-first order"
                 )
-        entry = DictEntry(
-            char, record["static"], record["work"], record["cp"], children
-        )
+        entry = DictEntry(char, static, work, cp, children)
         dictionary.entries.append(entry)
-        dictionary._index[(entry.static_id, entry.work, entry.cp, children)] = char
-    dictionary.raw_records = data["raw_records"]
+        dictionary._index[(static, work, cp, children)] = char
+    dictionary.raw_records = _typed(data["raw_records"], int, "raw_records")
 
-    root_char = data["root_char"]
+    root_char = _typed(data["root_char"], int, "root_char")
     if not 0 <= root_char < len(dictionary.entries):
         raise ProfileFormatError("root character out of range")
+    max_depth = data.get("max_depth")
+    if max_depth is not None:
+        _typed(max_depth, int, "max_depth")
 
     return ParallelismProfile(
         dictionary=dictionary,
         root_char=root_char,
         regions=regions,
-        instructions_retired=data["instructions_retired"],
-        total_work=data["total_work"],
-        program_name=data.get("program", "<program>"),
-        max_depth=data.get("max_depth"),
+        instructions_retired=_typed(
+            data["instructions_retired"], int, "instructions_retired"
+        ),
+        total_work=_typed(data["total_work"], int, "total_work"),
+        program_name=_typed(data.get("program", "<program>"), str, "program"),
+        max_depth=max_depth,
     )
 
 
@@ -229,6 +284,4 @@ def load_profile(path_or_file: str | IO[str]) -> ParallelismProfile:
             data = json.load(handle)
     else:
         data = json.load(path_or_file)
-    if not isinstance(data, dict):
-        raise ProfileFormatError("profile file must contain a JSON object")
     return profile_from_json(data)

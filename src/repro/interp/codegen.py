@@ -78,7 +78,6 @@ from repro.ir.instructions import (
 )
 from repro.ir.types import FLOAT, INT, ArrayType
 from repro.ir.values import Constant, GlobalRef, Register, StringConst
-from repro.kremlib import shadow
 
 _PAD = "    "
 
@@ -1108,7 +1107,6 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         self._sym = 0  # numbers timestamp and resolution temporaries
         self._metrics_on = m.metrics_on
         self._max_depth = m.max_depth
-        self._vthr = m.vector_threshold
         self.info = m.instrumentation.get(function.name)
         self.live_out = _live_out_sets(function)
         self._seg_reset()
@@ -1495,31 +1493,18 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             conc_cover: dict[_SymSource, int] = {}
             conc_const = 0
             folded = set()
-            conc_names: list[str] = []
-            conc_sources = []
             for ts in maximal:
                 if ts.conc is None:
                     continue
                 if ts.conc in folded:
                     continue
                 folded.add(ts.conc)
-                conc_names.append(ts.conc)
-                conc_sources.append(ts.as_source())
+                self._fold_source(lines, ts.as_source(), 0, "cps", _PAD)
                 for src, off in ts.cover.items():
                     if off > conc_cover.get(src, -1):
                         conc_cover[src] = off
                 if ts.const > conc_const:
                     conc_const = ts.const
-            if self._vthr and len(conc_names) >= self._vthr:
-                # Wide flush: one numpy reduction over the materialized
-                # full-depth event vectors (value-exact; scalar form
-                # below the threshold).
-                lines.append(
-                    f"    _vmax(cps, ({', '.join(conc_names)},), _dp)"
-                )
-            else:
-                for src in conc_sources:
-                    self._fold_source(lines, src, 0, "cps", _PAD)
             fold_parts: dict[_SymSource, int] = {}
             fold_const = 0
             for ts in maximal:
@@ -1934,13 +1919,11 @@ class _FusedModuleEmitter(_ModuleEmitter):
         max_depth: int,
         metrics_on: bool,
         force_fallback: bool = False,
-        vector_threshold: int = 0,
     ):
         super().__init__(program, budget, force_fallback)
         self.instrumentation = program.instrumentation.functions
         self.max_depth = max_depth
         self.metrics_on = metrics_on
-        self.vector_threshold = vector_threshold
 
     def _new_function_emitter(self, function):
         return _FusedFunctionEmitter(self, function)
@@ -1994,12 +1977,9 @@ def build_unit(
     budget=None,
     max_depth: int | None = None,
     metrics_on: bool = False,
-    vector_threshold: int | None = None,
 ) -> CodegenUnit:
     """Compile ``program`` to a :class:`CodegenUnit` (no caching)."""
     start = time.perf_counter()
-    if vector_threshold is None:
-        vector_threshold = shadow.vector_threshold()
     last_error: Exception | None = None
     for force in (False, True):
         if flavor == "fused":
@@ -2009,7 +1989,6 @@ def build_unit(
                 max_depth,
                 metrics_on,
                 force_fallback=force,
-                vector_threshold=vector_threshold,
             )
         elif flavor == "plain":
             emitter = _ModuleEmitter(program, budget, force_fallback=force)
@@ -2056,23 +2035,18 @@ def codegen_unit(
     from repro.interp import diskcache
     from repro.obs.metrics import get_metrics, metrics_enabled
 
-    vthr = shadow.vector_threshold()
-    key = (flavor, budget, max_depth, metrics_on, vthr)
+    key = (flavor, budget, max_depth, metrics_on)
     cache = program.__dict__.setdefault("_codegen_units", {})
     unit = cache.get(key)
     if unit is not None:
         if metrics_enabled():
             get_metrics().counter("codegen.unit_cache_hits").cell[0] += 1
         return unit
-    unit = diskcache.load_unit(
-        program, flavor, budget, max_depth, metrics_on, vthr
-    )
+    unit = diskcache.load_unit(program, flavor, budget, max_depth, metrics_on)
     if unit is None:
-        unit = build_unit(
-            program, flavor, budget, max_depth, metrics_on, vthr
-        )
+        unit = build_unit(program, flavor, budget, max_depth, metrics_on)
         diskcache.store_unit(
-            program, flavor, budget, max_depth, metrics_on, vthr, unit
+            program, flavor, budget, max_depth, metrics_on, unit
         )
     cache[key] = unit
     if metrics_enabled():

@@ -13,13 +13,13 @@ everything that can change the generated code:
   failure-injection tests corrupt region markers) and the cache must
   key on exactly what executes,
 * the engine flavor, instruction budget, depth limit, and metrics gate,
-* the vectorization threshold (it changes the emitted fold statements),
 * the cost model (instruction costs are baked into the source as
   literals),
-* a digest of the emitter implementation itself (``codegen.py`` plus
-  the defining module of every helper it imports from ``repro.interp``
-  and ``repro.kremlib``), so editing the compiler silently invalidates
-  every stale entry without manual version bumps, and
+* a digest of the emitter implementation itself (``codegen.py``, the
+  defining module of every helper it imports from ``repro.interp``, and
+  the shadow helpers the fused code calls), so editing the compiler
+  silently invalidates every stale entry without manual version bumps,
+  and
 * CPython's bytecode magic number (``marshal`` payloads are
   version-specific).
 
@@ -71,9 +71,10 @@ MAX_ENTRIES = 4096
 #: prune scan frequency, in writes per process
 _PRUNE_EVERY = 256
 
-#: modules whose source the generated code depends on: the emitter and
+#: modules whose source the generated code depends on: the emitter,
 #: every module it imports helpers from (constants such as the call-depth
-#: limit and the global-key table are baked into the generated source)
+#: limit and the global-key table are baked into the generated source),
+#: and the shadow module whose resolve helpers the fused code calls
 EMITTER_MODULES = (
     "repro.interp.codegen",
     "repro.interp.builtins",
@@ -188,7 +189,6 @@ def unit_key(
     budget,
     max_depth,
     metrics_on: bool,
-    vector_threshold: int,
 ) -> str:
     """sha256 identity of one compiled unit (see module docstring)."""
     cost_model = program.instrumentation.cost_model
@@ -209,7 +209,6 @@ def unit_key(
             "budget": budget,
             "max_depth": max_depth,
             "metrics": bool(metrics_on),
-            "vector_threshold": vector_threshold,
             "cost_table": sorted(cost_model.table.items()),
             "float_extra": sorted(cost_model.float_extra.items()),
         },
@@ -295,7 +294,6 @@ def load_unit(
     budget,
     max_depth,
     metrics_on: bool,
-    vector_threshold: int,
 ):
     """Load a cached unit, or None on a miss/invalid entry (never raises).
 
@@ -307,9 +305,7 @@ def load_unit(
     if directory is None:
         return None
     started = time.perf_counter()
-    key = unit_key(
-        program, flavor, budget, max_depth, metrics_on, vector_threshold
-    )
+    key = unit_key(program, flavor, budget, max_depth, metrics_on)
     path = _entry_path(directory, key)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -360,7 +356,6 @@ def store_unit(
     budget,
     max_depth,
     metrics_on: bool,
-    vector_threshold: int,
     unit,
 ) -> bool:
     """Persist a freshly built unit; best-effort, never raises."""
@@ -371,9 +366,7 @@ def store_unit(
     recipe = _env_recipe(unit.program_env)
     if recipe is None:
         return False
-    key = unit_key(
-        program, flavor, budget, max_depth, metrics_on, vector_threshold
-    )
+    key = unit_key(program, flavor, budget, max_depth, metrics_on)
     payload = {
         "format": CACHE_FORMAT,
         "version": ENTRY_VERSION,
@@ -383,7 +376,6 @@ def store_unit(
         "budget": budget,
         "max_depth": max_depth,
         "metrics": bool(metrics_on),
-        "vector_threshold": vector_threshold,
         "filename": program.filename,
         "source": unit.source,
         "code": base64.b64encode(marshal.dumps(unit.code)).decode("ascii"),

@@ -161,7 +161,7 @@ class Interpreter:
         if (
             engine == "compiled"
             and observer is not None
-            and not getattr(observer, "supports_fused_decode", False)
+            and not getattr(observer, "fused_codegen", False)
         ):
             # Generic observers need the per-instruction hook protocol only
             # the tree engine fires.

@@ -98,11 +98,7 @@ class CompiledEngine:
         else:
             # The Interpreter only routes KremlinProfiler observers here.
             from repro.kremlib.profiler import ProfilerError, _ActiveRegion
-            from repro.kremlib.shadow import (
-                _compute_ts,
-                fold_max_into,
-                resolve_entry,
-            )
+            from repro.kremlib.shadow import _compute_ts, resolve_entry
             from repro.obs.metrics import get_metrics, metrics_enabled
 
             metrics_on = metrics_enabled()
@@ -130,7 +126,6 @@ class CompiledEngine:
                     "_intern": observer.dictionary.intern,
                     "_resolve": resolve_entry,
                     "_cts": _compute_ts,
-                    "_vmax": fold_max_into,
                 }
             )
             if metrics_on:

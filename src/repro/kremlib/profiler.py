@@ -60,7 +60,7 @@ class KremlinProfiler(ExecutionObserver):
     # The compiled engine bakes this observer's hook bodies into its
     # generated code (repro.interp.codegen, fused flavor) instead of firing
     # per-event callbacks; generic observers fall back to the tree engine.
-    supports_fused_decode = True
+    fused_codegen = True
 
     def __init__(self, program: CompiledProgram, max_depth: int | None = None):
         self.program = program

@@ -116,97 +116,3 @@ class TestAggregation:
         # descendants_of must terminate despite the self-edge
         assert fact.static_id in aggregated.descendants_of(fact.static_id)
 
-
-class TestVectorizedAggregation:
-    """The numpy aggregation pass must be observationally identical to
-    the scalar reference on the same profile, field for field."""
-
-    SOURCES = {
-        "loops": """
-            float a[64];
-            float acc;
-            void fill() { for (int i = 0; i < 64; i++) a[i] = i * 1.5; }
-            float total() {
-              float s = 0.0;
-              for (int i = 0; i < 64; i++) { s += a[i]; }
-              return s;
-            }
-            int main() {
-              fill();
-              float x = 1.0;
-              for (int i = 0; i < 40; i++) { x = x * 0.9 + 0.1; }
-              acc = total();
-              return (int) (acc + x);
-            }
-        """,
-        "nested": """
-            int grid[8][8];
-            int main() {
-              int s = 0;
-              for (int i = 0; i < 8; i++) {
-                for (int j = 0; j < 8; j++) {
-                  grid[i][j] = i * 8 + j;
-                }
-              }
-              for (int i = 0; i < 8; i++) {
-                for (int j = 0; j < 8; j++) { s = s + grid[i][j]; }
-              }
-              return s;
-            }
-        """,
-        "recursion": """
-            int fib(int n) {
-              if (n < 2) { return n; }
-              return fib(n - 1) + fib(n - 2);
-            }
-            int main() { return fib(10); }
-        """,
-    }
-
-    @staticmethod
-    def _assert_equivalent(scalar, vectorized):
-        assert set(scalar.profiles) == set(vectorized.profiles)
-        for static_id, expected in scalar.profiles.items():
-            actual = vectorized.profiles[static_id]
-            assert actual.region is expected.region
-            for name in (
-                "instances",
-                "work",
-                "cp",
-                "self_work",
-                "iterations",
-            ):
-                value = getattr(actual, name)
-                assert value == getattr(expected, name), (static_id, name)
-                assert type(value) is int, (static_id, name)
-            assert actual.sp_numerator == pytest.approx(
-                expected.sp_numerator, rel=0, abs=0
-            ), static_id
-            assert actual.coverage == expected.coverage, static_id
-        assert vectorized.children == scalar.children
-        assert vectorized.root_static_id == scalar.root_static_id
-        assert vectorized.total_work == scalar.total_work
-
-    @pytest.mark.parametrize("name", sorted(SOURCES))
-    def test_numpy_pass_matches_scalar_reference(self, name):
-        numpy = pytest.importorskip("numpy")
-        from repro.hcpa.aggregate import _aggregate_numpy, _aggregate_scalar
-
-        program, profile, _ = profile_source(self.SOURCES[name])
-        self._assert_equivalent(
-            _aggregate_scalar(profile), _aggregate_numpy(profile)
-        )
-
-    def test_dispatch_threshold_routes_big_profiles_to_numpy(self):
-        numpy = pytest.importorskip("numpy")
-        from repro.hcpa import aggregate as aggregate_module
-
-        _, profile, _ = profile_source(self.SOURCES["loops"])
-        entries = len(profile.dictionary.entries)
-        big = entries >= aggregate_module.VECTOR_MIN_ENTRIES
-        # Whichever side of the threshold this profile lands on, the
-        # public entry point must agree with the scalar reference.
-        scalar = aggregate_module._aggregate_scalar(profile)
-        routed = aggregate_module.aggregate_profile(profile)
-        self._assert_equivalent(scalar, routed)
-        assert entries > 0 or not big

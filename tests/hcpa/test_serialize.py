@@ -129,6 +129,68 @@ class TestMalformedInput:
             load_profile(str(path))
 
 
+_DELETE = object()
+
+#: One structural defect per case, as (path into the document, new value);
+#: every one must surface as a ProfileFormatError, never as a bare
+#: TypeError/KeyError or a silent accept.
+STRUCTURAL_DEFECTS = {
+    "document-list": ((), [1, 2, 3]),
+    "dict-entry-none": (("dictionary", 0), None),
+    "dict-entry-list": (("dictionary", 0), [0, 1, 1, []]),
+    "dict-entry-missing-field": (("dictionary", 0, "cp"), _DELETE),
+    "dict-static-str": (("dictionary", 0, "static"), "0"),
+    "dict-static-unknown-region": (("dictionary", 0, "static"), 10_000),
+    "dict-work-str": (("dictionary", 0, "work"), "x"),
+    "dict-work-bool": (("dictionary", 0, "work"), True),
+    "dict-cp-float": (("dictionary", 0, "cp"), 1.5),
+    "dict-children-none": (("dictionary", 0, "children"), None),
+    "dict-children-dict": (("dictionary", 0, "children"), {}),
+    "dict-child-not-pair": (("dictionary", -1, "children"), [[0]]),
+    "dict-child-count-str": (("dictionary", -1, "children"), [[0, "1"]]),
+    "dict-child-negative": (("dictionary", -1, "children"), [[-1, 1]]),
+    "dictionary-not-list": (("dictionary",), {"0": {}}),
+    "regions-not-list": (("regions",), None),
+    "region-record-none": (("regions", 0), None),
+    "region-record-str": (("regions", 0), "main"),
+    "region-bad-kind": (("regions", 0, "kind"), "nest"),
+    "region-id-str": (("regions", 0, "id"), "0"),
+    "region-name-int": (("regions", 0, "name"), 7),
+    "region-loop-depth-str": (("regions", 0, "loop_depth"), "1"),
+    "region-parent-self": (("regions", 0, "parent"), 0),
+    "region-parent-str": (("regions", 1, "parent"), "0"),
+    "region-span-none": (("regions", 0, "span"), None),
+    "region-span-str-line": (("regions", 0, "span", "start"), "ab"),
+    "region-static-cost-list": (("regions", 0, "static_cost"), [1, 2]),
+    "region-verdict-int": (("regions", 0, "verdict"), 3),
+    "raw-records-str": (("raw_records",), "12"),
+    "root-char-str": (("root_char",), "0"),
+    "root-char-float": (("root_char",), 0.0),
+    "instructions-retired-none": (("instructions_retired",), None),
+    "total-work-str": (("total_work",), "9"),
+    "max-depth-str": (("max_depth",), "3"),
+    "program-int": (("program",), 4),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(STRUCTURAL_DEFECTS))
+def test_structural_defect_is_a_format_error(original, defect):
+    path, value = STRUCTURAL_DEFECTS[defect]
+    data = json.loads(json.dumps(profile_to_json(original)))
+    if path:
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        if value is _DELETE:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+    else:
+        data = value
+    with pytest.raises(ProfileFormatError):
+        profile_from_json(data)
+
+
 class TestVerdictRoundTrip:
     def test_verdict_tags_survive_roundtrip(self, original):
         tags = {r.id: r.verdict for r in original.regions}

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from repro.interp.errors import InterpreterError
-from repro.interp.interpreter import Interpreter
+from repro.interp.interpreter import ExecutionObserver, Interpreter
+from repro.kremlib.profiler import KremlinProfiler
 from tests.conftest import compile_source, run_source
 
 
@@ -282,3 +283,38 @@ class TestCounters:
         }
         """
         assert run_source(source).output == ["first 1", "second 2.5"]
+
+
+class TestEngineSelection:
+    """Only observers whose hooks codegen bakes into the generated code
+    (``fused_codegen``) keep the compiled engine; any other observer
+    needs the per-instruction hooks that only the tree engine fires."""
+
+    SOURCE = """
+    int main() { int s = 0; for (int i = 0; i < 4; i++) s += i; return s; }
+    """
+
+    def test_plain_observer_falls_back_to_tree(self):
+        class CountingObserver(ExecutionObserver):
+            computes = 0
+
+            def on_compute(self, instr, frame):
+                self.computes += 1
+
+        observer = CountingObserver()
+        interp = Interpreter(
+            compile_source(self.SOURCE), observer=observer, engine="compiled"
+        )
+        assert interp.engine == "tree"
+        assert interp.run("main").value == 6
+        assert interp._compiled is None
+        assert observer.computes > 0
+
+    def test_profiler_keeps_compiled_engine(self):
+        program = compile_source(self.SOURCE)
+        interp = Interpreter(
+            program, observer=KremlinProfiler(program), engine="compiled"
+        )
+        assert interp.engine == "compiled"
+        assert interp.run("main").value == 6
+        assert interp._compiled is not None

@@ -3,6 +3,9 @@ planner registry."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import unittest
 import warnings
 
@@ -312,6 +315,33 @@ class TestDeprecationShim(unittest.TestCase):
 
     def test_make_planner_still_exported(self):
         self.assertIsInstance(repro.make_planner("openmp"), OpenMPPlanner)
+
+
+class TestStandaloneImports(unittest.TestCase):
+    def test_analyze_imports_only_the_standard_library(self):
+        """The pipeline pulls in no third-party package; modules the
+        interpreter loaded at startup (site hooks) are not counted."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        script = (
+            "import sys\n"
+            "startup = set(sys.modules)\n"
+            "import repro\n"
+            f"repro.analyze({SOURCE!r})\n"
+            # multiprocessing aliases __main__ as __mp_main__
+            "stdlib = set(sys.stdlib_module_names) | {'repro', '__mp_main__'}\n"
+            "print(sorted({name.partition('.')[0] for name in sys.modules\n"
+            "    if name not in startup} - stdlib))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src, KREMLIN_CODEGEN_CACHE="0")
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        self.assertEqual(done.returncode, 0, done.stderr)
+        self.assertEqual(done.stdout.strip(), "[]")
 
 
 class TestPlannerRegistry(unittest.TestCase):
