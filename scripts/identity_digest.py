@@ -13,6 +13,10 @@ A digest covers, for every bench program:
   depth unlimited and 2, metrics off and on (``id()``-derived literals
   are renumbered by first use, so two processes compare equal);
 * ``profile_to_json`` of the profiled run at depth unlimited, 2 and 3;
+* the static analysis ``kremlin check --summaries --cost --json``
+  reports: the per-loop verdict tags (as the analyzer returns them and as
+  stamped on the region tree), the rendered lint diagnostics, the mod/ref
+  summaries and the static cost bounds;
 
 and, for each replan input (bt, sp, mg, lu, ammp merged over the first
 k in {1, 3} of those depth windows): the merged profile, its compression
@@ -51,9 +55,12 @@ def _normalize(source: str) -> str:
 def digest(checkout: str) -> dict:
     os.environ["KREMLIN_CODEGEN_CACHE"] = "0"
     sys.path.insert(0, os.path.join(os.path.abspath(checkout), "src"))
+    from repro.analysis.static_cost import costs_to_json
+    from repro.analysis.summaries import summaries_to_json
     from repro.api import CompileOptions, KremlinSession, ProfileOptions
     from repro.bench_suite.registry import all_benchmarks
     from repro.exec_model.simulate import best_configuration
+    from repro.frontend.source import SourceFile
     from repro.hcpa.aggregate import aggregate_profile
     from repro.hcpa.compression import compression_stats
     from repro.hcpa.merge import merge_profiles
@@ -70,6 +77,28 @@ def digest(checkout: str) -> dict:
             compile_options=CompileOptions(filename=f"{name}.c")
         ).analyze(bench.source)
         program = report.program
+        analysis = program.analysis
+        out[f"check/{name}/verdicts"] = _h(
+            repr(sorted(
+                (region_id, verdict.tag)
+                for region_id, verdict in analysis.verdicts.items()
+            ))
+            + repr([
+                (region.id, region.verdict,
+                 region.static_cost and region.static_cost.to_json())
+                for region in program.regions
+            ])
+        )
+        source_file = SourceFile(f"{name}.c", bench.source)
+        out[f"check/{name}/diagnostics"] = _h(
+            "\n".join(d.render(source_file) for d in analysis.diagnostics)
+        )
+        out[f"check/{name}/summaries"] = _h(
+            json.dumps(summaries_to_json(analysis.summaries), sort_keys=True)
+        )
+        out[f"check/{name}/costs"] = _h(
+            json.dumps(costs_to_json(analysis.costs), sort_keys=True)
+        )
         out[f"codegen/{name}/plain"] = _h(
             _normalize(build_unit(program, "plain").source)
         )

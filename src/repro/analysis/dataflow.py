@@ -6,10 +6,19 @@ dependence classifier needs honest iterative dataflow to know which write
 of a register a given read can observe. This module provides:
 
 * :class:`ReachingDefinitions` — the textbook gen/kill fixpoint over the
-  CFG, exposing per-block reach-in sets and use-def chains;
+  CFG, exposing use-def chains (:meth:`~ReachingDefinitions.reaching`),
+  def-use chains (``uses_of``) and per-block reaching sets;
 * :func:`upward_exposed_registers` — the registers a natural loop may read
   *before* writing them in an iteration, i.e. exactly the candidates for a
   loop-carried scalar dependence flowing around the back edge.
+
+The fixpoint runs on bit vectors. Every definition gets an index (the
+parameters first, then the instruction results in block layout order), so
+a set of definitions is one ``int``: gen, kill, in and out are one integer
+per block, and each register keeps the mask of all its definitions. A
+block's transfer is ``out = (in & ~kill) | gen`` and a merge is ``|``.
+Masks turn back into :class:`Definition` sets only when a query or a
+use-def chain needs them, and each distinct mask is turned back once.
 
 Function parameters are modeled as definitions at the entry block (a
 synthetic :class:`Definition` with ``instr=None``).
@@ -57,105 +66,118 @@ class ReachingDefinitions:
         self.function = function
         #: every definition of each register, in layout order
         self.defs_of: dict[Register, list[Definition]] = {}
-        #: definitions reaching the *top* of each block
-        self.reach_in: dict[BasicBlock, frozenset[Definition]] = {}
-        #: (instruction or terminator) -> {register -> reaching defs}
-        self._use_defs: dict[int, dict[Register, frozenset[Definition]]] = {}
         #: Definition -> instructions/terminators that may observe it
         self.uses_of: dict[Definition, list] = {}
+        #: every definition; bit ``k`` of a mask stands for ``_defs[k]``
+        self._defs: list[Definition] = []
+        #: register -> mask of all its definitions
+        self._reg_mask: dict[Register, int] = {}
+        #: mask of the definitions reaching the *top* of each block
+        self._reach_in: dict[BasicBlock, int] = {}
+        #: (instruction or terminator) -> {register -> reaching defs}
+        self._use_defs: dict[int, dict[Register, frozenset[Definition]]] = {}
+        #: mask -> the frozenset it stands for (each built once)
+        self._sets: dict[int, frozenset[Definition]] = {0: frozenset()}
         self._compute()
 
     # ------------------------------------------------------------------
 
+    def _define(self, register: Register, block, instr) -> int:
+        """Index a new definition; returns its bit."""
+        definition = Definition(register, block, instr)
+        bit = 1 << len(self._defs)
+        self._defs.append(definition)
+        self.defs_of.setdefault(register, []).append(definition)
+        self._reg_mask[register] = self._reg_mask.get(register, 0) | bit
+        return bit
+
     def _compute(self) -> None:
         function = self.function
         entry = function.entry
+        reg_mask = self._reg_mask
 
-        param_defs = [
-            Definition(param, entry, None) for param in function.params
-        ]
-        for definition in param_defs:
-            self.defs_of.setdefault(definition.register, []).append(definition)
-
-        block_defs: dict[BasicBlock, list[Definition]] = {}
-        for block in function.blocks:
-            defs: list[Definition] = []
-            for instr in block.instructions:
-                if instr.result is not None:
-                    definition = Definition(instr.result, block, instr)
-                    defs.append(definition)
-                    self.defs_of.setdefault(instr.result, []).append(
-                        definition
-                    )
-            block_defs[block] = defs
+        param_mask = 0
+        for param in function.params:
+            param_mask |= self._define(param, entry, None)
 
         # gen: last def of each register in the block; kill: all other defs
-        # of registers the block writes.
-        gen: dict[BasicBlock, frozenset[Definition]] = {}
-        kill: dict[BasicBlock, frozenset[Definition]] = {}
+        # of registers the block writes (known once every def is indexed).
+        bit_of: dict[int, int] = {}  # id(instruction) -> its def's bit
+        block_last: dict[BasicBlock, dict[Register, int]] = {}
         for block in function.blocks:
-            last: dict[Register, Definition] = {}
-            for definition in block_defs[block]:
-                last[definition.register] = definition
-            gen[block] = frozenset(last.values())
-            killed: set[Definition] = set()
-            for register in last:
-                killed.update(self.defs_of[register])
-            kill[block] = frozenset(killed - gen[block])
+            last: dict[Register, int] = {}
+            for instr in block.instructions:
+                if instr.result is not None:
+                    bit = self._define(instr.result, block, instr)
+                    bit_of[id(instr)] = last[instr.result] = bit
+            block_last[block] = last
+        gen: dict[BasicBlock, int] = {}
+        keep: dict[BasicBlock, int] = {}  # complement of kill
+        for block, last in block_last.items():
+            block_gen = 0
+            written = 0
+            for register, bit in last.items():
+                block_gen |= bit
+                written |= reg_mask[register]
+            gen[block] = block_gen
+            keep[block] = ~(written & ~block_gen)
 
         preds = predecessor_map(function)
         order = reverse_postorder(function)
-        reach_in: dict[BasicBlock, frozenset[Definition]] = {
-            block: frozenset() for block in order
-        }
-        reach_in[entry] = frozenset(param_defs)
-        reach_out: dict[BasicBlock, frozenset[Definition]] = {
-            block: frozenset() for block in order
-        }
-
+        reach_in = dict.fromkeys(order, 0)
+        reach_in[entry] = param_mask
+        reach_out = dict.fromkeys(order, 0)
         changed = True
         while changed:
             changed = False
             for block in order:
-                incoming: set[Definition] = set(
-                    param_defs if block is entry else ()
-                )
-                for pred in preds.get(block, []):
-                    incoming.update(reach_out[pred])
-                frozen_in = frozenset(incoming)
-                out = frozenset((frozen_in - kill[block]) | gen[block])
-                if frozen_in != reach_in[block] or out != reach_out[block]:
-                    reach_in[block] = frozen_in
+                incoming = param_mask if block is entry else 0
+                for pred in preds[block]:
+                    incoming |= reach_out[pred]
+                out = (incoming & keep[block]) | gen[block]
+                if incoming != reach_in[block] or out != reach_out[block]:
+                    reach_in[block] = incoming
                     reach_out[block] = out
                     changed = True
-        self.reach_in = reach_in
+        self._reach_in = reach_in
 
         # One forward walk per block builds the use-def chains.
+        use_defs = self._use_defs
+        uses_of = self.uses_of
         for block in order:
-            live: dict[Register, set[Definition]] = {}
-            for definition in reach_in[block]:
-                live.setdefault(definition.register, set()).add(definition)
+            live = reach_in[block]
             for owner in [*block.instructions, block.terminator]:
                 if owner is None:
                     continue
                 used = _register_uses(owner)
                 if used:
-                    self._use_defs[id(owner)] = {
-                        register: frozenset(live.get(register, ()))
+                    chains = {
+                        register: self._as_set(
+                            live & reg_mask.get(register, 0)
+                        )
                         for register in used
                     }
+                    use_defs[id(owner)] = chains
                     for register in used:
-                        for definition in live.get(register, ()):
-                            self.uses_of.setdefault(definition, []).append(
-                                owner
-                            )
+                        for definition in chains[register]:
+                            uses_of.setdefault(definition, []).append(owner)
                 result = getattr(owner, "result", None)
                 if result is not None:
-                    live[result] = {
-                        d
-                        for d in self.defs_of[result]
-                        if d.instr is owner
-                    }
+                    live = (live & ~reg_mask[result]) | bit_of[id(owner)]
+
+    def _as_set(self, mask: int) -> frozenset[Definition]:
+        """The definitions a mask stands for."""
+        found = self._sets.get(mask)
+        if found is None:
+            defs = self._defs
+            members = []
+            rest = mask
+            while rest:
+                low = rest & -rest
+                members.append(defs[low.bit_length() - 1])
+                rest ^= low
+            found = self._sets[mask] = frozenset(members)
+        return found
 
     # ------------------------------------------------------------------
     # Queries
@@ -170,9 +192,8 @@ class ReachingDefinitions:
         self, block: BasicBlock, register: Register
     ) -> frozenset[Definition]:
         """Definitions of ``register`` reaching the top of ``block``."""
-        return frozenset(
-            d for d in self.reach_in.get(block, frozenset())
-            if d.register is register
+        return self._as_set(
+            self._reach_in.get(block, 0) & self._reg_mask.get(register, 0)
         )
 
     def external_reaching(

@@ -436,6 +436,13 @@ def _detect_inductions(
     return out
 
 
+def detect_loop_inductions(
+    forest: LoopForest, rd: ReachingDefinitions
+) -> dict[Loop, dict[Register, InductionVar]]:
+    """Induction variables of every loop in ``forest``, in forest order."""
+    return {loop: _detect_inductions(loop, rd) for loop in forest.loops}
+
+
 def _bound_induction(
     info: InductionVar, loop: Loop, rd: ReachingDefinitions
 ) -> None:
@@ -1207,6 +1214,8 @@ def analyze_function_dependences(
     rd: ReachingDefinitions | None = None,
     purity: dict[str, bool] | None = None,
     summaries: dict | None = None,
+    forest: LoopForest | None = None,
+    inductions: dict[Loop, dict[Register, InductionVar]] | None = None,
 ) -> list[LoopDependenceInfo]:
     """Classify every natural loop of ``function``; innermost first.
 
@@ -1214,9 +1223,12 @@ def analyze_function_dependences(
     available, calls to summarizable functions contribute synthetic
     accesses instead of impure-call witnesses; an explicit ``purity``
     map restores the old binary treatment (legacy callers/tests).
+    ``rd``, ``forest`` and ``inductions`` (from
+    :func:`detect_loop_inductions` over that forest) are computed here
+    when the caller has not already built them.
     """
     rd = rd or ReachingDefinitions(function)
-    forest = find_natural_loops(function)
+    forest = forest or find_natural_loops(function)
     if summaries is None and purity is None and module is not None:
         from repro.analysis.summaries import compute_module_summaries
 
@@ -1224,14 +1236,13 @@ def analyze_function_dependences(
     if purity is None:
         purity = {}
 
-    induction_of = {
-        loop: _detect_inductions(loop, rd) for loop in forest.loops
-    }
+    if inductions is None:
+        inductions = detect_loop_inductions(forest, rd)
 
     out: list[LoopDependenceInfo] = []
     for loop in forest.loops:
         ctx = _LoopContext(
-            function, loop, rd, forest, induction_of, summaries
+            function, loop, rd, forest, inductions, summaries
         )
         info = LoopDependenceInfo(
             loop=loop,

@@ -10,9 +10,14 @@ up to the enclosing LOOP. The resulting verdict *tags* are stamped onto
 :class:`~repro.instrument.regions.StaticRegion.verdict` so they travel
 with the profile (serialization, merging, planning, reports).
 
+Every per-function fact is built once, in the ``dataflow`` step —
+reaching definitions, the natural-loop forest (with the dominator tree
+it was found with) and the induction variables of each loop — and handed
+to the summaries, the dependence classifier, static cost and lint.
+
 Observability: the whole pass runs under a ``static-analysis`` span with
-``dataflow`` / ``dependence`` / ``lint`` children, and feeds
-``analysis.*`` counters when metrics collection is on.
+``dataflow`` / ``summaries`` / ``dependence`` / ``static-cost`` / ``lint``
+children, and feeds ``analysis.*`` counters when metrics collection is on.
 """
 
 from __future__ import annotations
@@ -25,8 +30,10 @@ from repro.analysis.dataflow import ReachingDefinitions
 from repro.analysis.dependence import (
     LoopDependenceInfo,
     analyze_function_dependences,
+    detect_loop_inductions,
 )
 from repro.analysis.lint import Diagnostic, LintContext, run_lint
+from repro.analysis.loops import find_natural_loops
 from repro.analysis.static_cost import RegionCost, compute_static_costs
 from repro.analysis.summaries import (
     FunctionSummary,
@@ -101,13 +108,18 @@ def analyze_module(module: Module, lint: bool = True) -> ModuleAnalysis:
     analysis = ModuleAnalysis()
     with tracer.span("static-analysis", functions=len(module.functions)):
         with tracer.span("dataflow"):
-            reaching = {
-                name: ReachingDefinitions(function)
-                for name, function in module.functions.items()
-            }
+            reaching = {}
+            forests = {}
+            inductions = {}
+            for name, function in module.functions.items():
+                rd = reaching[name] = ReachingDefinitions(function)
+                forest = forests[name] = find_natural_loops(function)
+                inductions[name] = detect_loop_inductions(forest, rd)
         with tracer.span("summaries") as span:
             graph = build_call_graph(module)
-            analysis.summaries = compute_module_summaries(module, graph)
+            analysis.summaries = compute_module_summaries(
+                module, graph, reaching=reaching, inductions=inductions
+            )
             span.args["functions"] = len(analysis.summaries)
         with tracer.span("dependence") as span:
             loop_count = 0
@@ -117,6 +129,8 @@ def analyze_module(module: Module, lint: bool = True) -> ModuleAnalysis:
                     module,
                     rd=reaching[name],
                     summaries=analysis.summaries,
+                    forest=forests[name],
+                    inductions=inductions[name],
                 )
                 loop_count += len(infos)
                 analysis.functions[name] = FunctionAnalysis(
@@ -133,6 +147,7 @@ def analyze_module(module: Module, lint: bool = True) -> ModuleAnalysis:
                 },
                 regions=module.regions,
                 graph=graph,
+                doms={name: forest.dom for name, forest in forests.items()},
             )
             span.args["regions"] = len(analysis.costs)
             if module.regions is not None:

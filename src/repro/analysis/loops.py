@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.cfg import predecessor_map, reachable_blocks
-from repro.analysis.dominators import dominator_tree
+from repro.analysis.dominators import DominatorTree, dominator_tree
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 
@@ -49,6 +49,8 @@ class LoopForest:
     loops: list[Loop] = field(default_factory=list)
     #: innermost loop containing each block (absent = not in any loop)
     block_loop: dict[BasicBlock, Loop] = field(default_factory=dict)
+    #: the dominator tree the back edges were found with
+    dom: DominatorTree | None = None
 
     @property
     def top_level(self) -> list[Loop]:
@@ -93,7 +95,7 @@ def find_natural_loops(function: Function) -> LoopForest:
                 outer.children.append(inner)
                 break
 
-    forest = LoopForest(loops=loops)
+    forest = LoopForest(loops=loops, dom=dom)
     for loop in loops:  # smallest (innermost) first: first claim wins
         for block in loop.blocks:
             forest.block_loop.setdefault(block, loop)

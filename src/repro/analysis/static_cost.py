@@ -33,7 +33,7 @@ from repro.analysis.dependence import (
     LoopDependenceInfo,
     iterations_structurally_identical,
 )
-from repro.analysis.dominators import dominator_tree
+from repro.analysis.dominators import DominatorTree, dominator_tree
 from repro.analysis.loops import Loop
 from repro.ir.instructions import Call, Ret
 from repro.ir.module import Module
@@ -245,9 +245,15 @@ def function_work_intervals(
     module: Module,
     infos_by_function: dict[str, list[LoopDependenceInfo]],
     graph: CallGraph | None = None,
+    doms: dict[str, DominatorTree] | None = None,
 ) -> dict[str, Interval]:
-    """Bottom-up per-call work interval for every user function."""
+    """Bottom-up per-call work interval for every user function.
+
+    ``doms`` maps function names to dominator trees the caller already
+    built; missing ones are computed here.
+    """
     graph = graph or build_call_graph(module)
+    doms = doms or {}
     work: dict[str, Interval] = {}
     for component in graph.sccs():
         members = [n for n in component if n in module.functions]
@@ -268,7 +274,9 @@ def function_work_intervals(
             infos = infos_by_function.get(name, [])
             forest = _LoopView([info.loop for info in infos])
             trips = {info.loop: trip_interval(info) for info in infos}
-            work[name] = _scoped_work(function, forest, trips, work, None)
+            work[name] = _scoped_work(
+                function, forest, trips, work, None, doms.get(name)
+            )
     return work
 
 
@@ -282,12 +290,20 @@ def compute_static_costs(
     infos_by_function: dict[str, list[LoopDependenceInfo]],
     regions=None,
     graph: CallGraph | None = None,
+    doms: dict[str, DominatorTree] | None = None,
 ) -> dict[int, RegionCost]:
-    """Static cost bounds for every resolvable LOOP region."""
+    """Static cost bounds for every resolvable LOOP region.
+
+    ``doms`` maps function names to dominator trees the caller already
+    built; missing ones are computed here.
+    """
     from repro.analysis.driver import resolve_loop_region
 
     graph = graph or build_call_graph(module)
-    call_work = function_work_intervals(module, infos_by_function, graph)
+    doms = doms or {}
+    call_work = function_work_intervals(
+        module, infos_by_function, graph, doms
+    )
     out: dict[int, RegionCost] = {}
     for name, infos in infos_by_function.items():
         function = module.functions.get(name)
@@ -295,7 +311,7 @@ def compute_static_costs(
             continue
         forest = _LoopView([info.loop for info in infos])
         trips = {info.loop: trip_interval(info) for info in infos}
-        dom = dominator_tree(function)
+        dom = doms.get(name) or dominator_tree(function)
         for info in infos:
             region_id = resolve_loop_region(regions, info)
             if region_id is None:

@@ -290,7 +290,12 @@ def summaries_to_json(
 class _IndexResolver:
     """Resolve index values to :class:`ParamAffine` inside one function."""
 
-    def __init__(self, function: Function, rd: ReachingDefinitions):
+    def __init__(
+        self,
+        function: Function,
+        rd: ReachingDefinitions,
+        inductions: dict | None = None,
+    ):
         self.function = function
         self.rd = rd
         self.param_index = {
@@ -305,10 +310,14 @@ class _IndexResolver:
                 self.block_of[id(instr)] = block
             if block.terminator is not None:
                 self.block_of[id(block.terminator)] = block
-        from repro.analysis.dependence import _detect_inductions
+        if inductions is None:
+            from repro.analysis.dependence import detect_loop_inductions
 
-        for loop in find_natural_loops(function).loops:
-            for register, ind in _detect_inductions(loop, rd).items():
+            inductions = detect_loop_inductions(
+                find_natural_loops(function), rd
+            )
+        for loop, found in inductions.items():
+            for register, ind in found.items():
                 if ind.lo is not None and ind.hi is not None:
                     self.bounds[register] = (ind.lo, ind.hi, loop)
 
@@ -455,9 +464,11 @@ def _compress(records: list[AccessRecord]) -> list[AccessRecord]:
 def _summarize_function(
     function: Function,
     summaries: dict[str, FunctionSummary],
+    rd: ReachingDefinitions | None = None,
+    inductions: dict | None = None,
 ) -> FunctionSummary:
-    rd = ReachingDefinitions(function)
-    resolver = _IndexResolver(function, rd)
+    rd = rd or ReachingDefinitions(function)
+    resolver = _IndexResolver(function, rd, inductions)
     reductions = _global_reductions(function, rd)
     summary = FunctionSummary(
         name=function.name,
@@ -615,10 +626,21 @@ def _summarize_function(
 
 
 def compute_module_summaries(
-    module: Module, graph: CallGraph | None = None
+    module: Module,
+    graph: CallGraph | None = None,
+    reaching: dict[str, ReachingDefinitions] | None = None,
+    inductions: dict[str, dict] | None = None,
 ) -> dict[str, FunctionSummary]:
-    """Bottom-up mod/ref summaries for every function in ``module``."""
+    """Bottom-up mod/ref summaries for every function in ``module``.
+
+    ``reaching`` and ``inductions`` map function names to the reaching
+    definitions and per-loop induction variables the caller already
+    built (see ``detect_loop_inductions`` in
+    :mod:`repro.analysis.dependence`); missing ones are computed here.
+    """
     graph = graph or build_call_graph(module)
+    reaching = reaching or {}
+    inductions = inductions or {}
     summaries: dict[str, FunctionSummary] = {}
     for component in graph.sccs():
         members = [
@@ -663,7 +685,12 @@ def compute_module_summaries(
                     )
             continue
         name = members[0]
-        summary = _summarize_function(module.functions[name], summaries)
+        summary = _summarize_function(
+            module.functions[name],
+            summaries,
+            rd=reaching.get(name),
+            inductions=inductions.get(name),
+        )
         summary.pure = (
             not summary.top
             and not summary.impure

@@ -1,4 +1,16 @@
-"""Recursive-descent parser for MiniC with C-style operator precedence."""
+"""Recursive-descent parser for MiniC with C-style operator precedence.
+
+Nesting is bounded. Every sub-statement of a control statement, every
+block inside a block, and every nested sub-expression (parenthesized,
+unary or cast operand, conditional arm, subscript, call argument) is one
+level, as is every operator of a binary chain (``a + b + c`` is a tree
+two deep); statement and expression levels add up. The parser stops with
+a :class:`ParseError` at level :data:`MAX_NESTING`, so nesting that would
+overflow the Python stack here or in the recursive passes after it
+(lowering, analysis, code generation) is a diagnostic, never a bare
+``RecursionError``. C11 guarantees 127 nested blocks and 63 nested
+parenthesized expressions; MiniC accepts 127 levels of both together.
+"""
 
 from __future__ import annotations
 
@@ -61,6 +73,9 @@ _BINARY_PRECEDENCE: dict[TokenKind, tuple[int, str]] = {
 
 _TYPE_KEYWORDS = (TokenKind.KW_INT, TokenKind.KW_FLOAT, TokenKind.KW_VOID)
 
+#: the first nesting level the parser rejects
+MAX_NESTING = 128
+
 _ASSIGN_OPS: dict[TokenKind, str] = {
     TokenKind.ASSIGN: "=",
     TokenKind.PLUS_ASSIGN: "+=",
@@ -77,6 +92,10 @@ class Parser:
         self.source = source
         self.tokens = Lexer(source).tokens()
         self.pos = 0
+        #: statement + expression nesting level of the construct being
+        #: parsed (a failed parse discards the parser, so a raise need
+        #: not restore it)
+        self.depth = 0
 
     # ------------------------------------------------------------------
     # Token-stream helpers
@@ -112,6 +131,17 @@ class Parser:
             f"expected {kind.value!r}{where}, found {self.current}",
             self.current.span,
         )
+
+    def _descend(self, token: Token) -> None:
+        """Enter one nesting level at ``token``."""
+        self.depth += 1
+        if self.depth >= MAX_NESTING:
+            raise ParseError(
+                f"nesting reaches {MAX_NESTING} levels; at most "
+                f"{MAX_NESTING - 1} nested statements and expressions "
+                "are supported",
+                token.span,
+            )
 
     # ------------------------------------------------------------------
     # Top level
@@ -253,10 +283,24 @@ class Parser:
         close_token = self._expect(TokenKind.RBRACE, "block")
         return BlockStmt(span=open_token.span.merge(close_token.span), body=body)
 
+    def _parse_body(self) -> Stmt:
+        """The sub-statement of a control statement: one nesting level,
+        braced or not."""
+        self._descend(self.current)
+        if self._check(TokenKind.LBRACE):
+            body: Stmt = self._parse_block()
+        else:
+            body = self._parse_stmt()
+        self.depth -= 1
+        return body
+
     def _parse_stmt(self) -> Stmt:
         kind = self.current.kind
         if kind is TokenKind.LBRACE:
-            return self._parse_block()
+            self._descend(self.current)
+            block = self._parse_block()
+            self.depth -= 1
+            return block
         if kind in (TokenKind.KW_INT, TokenKind.KW_FLOAT):
             decls = self._parse_var_decl_list()
             span = decls[0].span.merge(decls[-1].span)
@@ -317,10 +361,10 @@ class Parser:
         self._expect(TokenKind.LPAREN, "if condition")
         cond = self._parse_expr()
         self._expect(TokenKind.RPAREN, "if condition")
-        then_body = self._parse_stmt()
+        then_body = self._parse_body()
         else_body: Stmt | None = None
         if self._accept(TokenKind.KW_ELSE):
-            else_body = self._parse_stmt()
+            else_body = self._parse_body()
         end = else_body.span if else_body is not None else then_body.span
         return IfStmt(
             span=if_token.span.merge(end),
@@ -334,12 +378,12 @@ class Parser:
         self._expect(TokenKind.LPAREN, "while condition")
         cond = self._parse_expr()
         self._expect(TokenKind.RPAREN, "while condition")
-        body = self._parse_stmt()
+        body = self._parse_body()
         return WhileStmt(span=while_token.span.merge(body.span), cond=cond, body=body)
 
     def _parse_do_while(self) -> DoWhileStmt:
         do_token = self._advance()
-        body = self._parse_stmt()
+        body = self._parse_body()
         self._expect(TokenKind.KW_WHILE, "do-while")
         self._expect(TokenKind.LPAREN, "do-while condition")
         cond = self._parse_expr()
@@ -372,7 +416,7 @@ class Parser:
             step = self._parse_simple_stmt()
         self._expect(TokenKind.RPAREN, "for header")
 
-        body = self._parse_stmt()
+        body = self._parse_body()
         return ForStmt(
             span=for_token.span.merge(body.span),
             init=init,
@@ -396,12 +440,22 @@ class Parser:
     def _parse_expr(self) -> Expr:
         return self._parse_ternary()
 
+    def _parse_nested(self, token: Token) -> Expr:
+        """A full sub-expression one nesting level down, at ``token``."""
+        self._descend(token)
+        expr = self._parse_ternary()
+        self.depth -= 1
+        return expr
+
     def _parse_ternary(self) -> Expr:
         cond = self._parse_binary(0)
-        if self._accept(TokenKind.QUESTION):
-            then = self._parse_expr()
-            self._expect(TokenKind.COLON, "conditional expression")
+        question = self._accept(TokenKind.QUESTION)
+        if question is not None:
+            then = self._parse_nested(question)
+            colon = self._expect(TokenKind.COLON, "conditional expression")
+            self._descend(colon)
             otherwise = self._parse_ternary()
+            self.depth -= 1
             return CondExpr(
                 span=cond.span.merge(otherwise.span),
                 cond=cond,
@@ -412,12 +466,16 @@ class Parser:
 
     def _parse_binary(self, min_precedence: int) -> Expr:
         left = self._parse_unary()
+        # each operator of a chain nests the tree built so far one deeper
+        levels = 0
         while True:
             entry = _BINARY_PRECEDENCE.get(self.current.kind)
             if entry is None or entry[0] < min_precedence:
+                self.depth -= levels
                 return left
             precedence, op = entry
-            self._advance()
+            self._descend(self._advance())
+            levels += 1
             right = self._parse_binary(precedence + 1)
             left = BinaryExpr(
                 span=left.span.merge(right.span), op=op, left=left, right=right
@@ -427,7 +485,9 @@ class Parser:
         token = self.current
         if token.kind in (TokenKind.MINUS, TokenKind.PLUS, TokenKind.BANG):
             self._advance()
+            self._descend(token)
             operand = self._parse_unary()
+            self.depth -= 1
             op = {"-": "-", "+": "+", "!": "!"}[token.kind.value]
             if op == "+":
                 return operand
@@ -441,7 +501,9 @@ class Parser:
             self._advance()
             type_token = self._advance()
             self._advance()
+            self._descend(token)
             operand = self._parse_unary()
+            self.depth -= 1
             target = "int" if type_token.kind is TokenKind.KW_INT else "float"
             return CastExpr(
                 span=token.span.merge(operand.span), target=target, operand=operand
@@ -453,8 +515,7 @@ class Parser:
         while self._check(TokenKind.LBRACKET):
             if not isinstance(expr, (NameExpr, IndexExpr)):
                 raise ParseError("only named arrays can be indexed", expr.span)
-            self._advance()
-            index = self._parse_expr()
+            index = self._parse_nested(self._advance())
             close = self._expect(TokenKind.RBRACKET, "index expression")
             if isinstance(expr, NameExpr):
                 expr = IndexExpr(
@@ -483,11 +544,11 @@ class Parser:
             self._advance()
             name = str(token.value)
             if self._check(TokenKind.LPAREN):
-                self._advance()
+                open_token = self._advance()
                 args: list[Expr] = []
                 if not self._check(TokenKind.RPAREN):
                     while True:
-                        args.append(self._parse_expr())
+                        args.append(self._parse_nested(open_token))
                         if not self._accept(TokenKind.COMMA):
                             break
                 close = self._expect(TokenKind.RPAREN, "call")
@@ -495,7 +556,7 @@ class Parser:
             return NameExpr(span=token.span, name=name)
         if token.kind is TokenKind.LPAREN:
             self._advance()
-            expr = self._parse_expr()
+            expr = self._parse_nested(token)
             self._expect(TokenKind.RPAREN, "parenthesized expression")
             return expr
         raise ParseError(f"expected an expression, found {token}", token.span)

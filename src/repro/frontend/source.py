@@ -8,6 +8,7 @@ matching the ``imageBlur.c (49-58)`` style of Kremlin's user interface
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 
@@ -84,14 +85,10 @@ class SourceFile:
         """Map a character offset to a 1-based line/column location."""
         if offset < 0 or offset > len(self.text):
             raise ValueError(f"offset {offset} out of range for {self.name}")
-        lo, hi = 0, len(self._line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._line_starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return SourceLocation(line=lo + 1, column=offset - self._line_starts[lo] + 1)
+        line = bisect_right(self._line_starts, offset)
+        return SourceLocation(
+            line=line, column=offset - self._line_starts[line - 1] + 1
+        )
 
     def line_text(self, line: int) -> str:
         """Return the text of a 1-based line, without its newline."""

@@ -47,6 +47,3 @@ class BasicBlock:
 
     def __repr__(self) -> str:
         return f"<block {self.label}>"
-
-    def __hash__(self) -> int:
-        return id(self)

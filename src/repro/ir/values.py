@@ -31,9 +31,6 @@ class Register(Value):
         suffix = f":{self.name}" if self.name else ""
         return f"%{self.index}{suffix}"
 
-    def __hash__(self) -> int:
-        return id(self)
-
 
 @dataclass(frozen=True)
 class Constant(Value):

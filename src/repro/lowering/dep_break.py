@@ -21,6 +21,12 @@ Classification, per innermost enclosing loop:
 The result maps ``id(assign_stmt)`` to ``('induction'|'reduction',
 old_value_operand_index)``; lowering transfers the flag onto the emitted
 :class:`~repro.ir.instructions.BinOp`.
+
+Each loop is classified once. :func:`analyze_loop_dependences` marks only
+the statements whose innermost loop is the one it analyzes, so every
+statement is decided by exactly one loop and
+:func:`analyze_function_dependences` merges the per-loop results without
+a second ownership pass.
 """
 
 from __future__ import annotations
@@ -313,24 +319,10 @@ def analyze_loop_dependences(loop: Stmt) -> LoopDepInfo:
 
 
 def analyze_function_dependences(body: Stmt) -> dict[int, tuple[str, int]]:
-    """Run :func:`analyze_loop_dependences` on every loop in a function body
-    and merge the per-statement markings (innermost loop wins)."""
+    """Run :func:`analyze_loop_dependences` once on every loop in a
+    function body and merge the (disjoint) per-statement markings."""
     marked: dict[int, tuple[str, int]] = {}
-    loops = [s for s in walk_stmts(body) if isinstance(s, _LOOP_TYPES)]
-    # Outer loops first so inner-loop classifications overwrite them.
-    for loop in loops:
-        marked.update(analyze_loop_dependences(loop).marked_updates)
-    # Re-apply innermost-ownership: a statement marked by an outer loop but
-    # owned by an inner one keeps the inner loop's (possibly absent) marking.
-    for loop in loops:
-        info = analyze_loop_dependences(loop)
-        owner = _innermost_loop_map(loop)
-        for stmt in _direct_stmts(loop):
-            if owner.get(id(stmt)) is loop and isinstance(stmt, AssignStmt):
-                if id(stmt) in marked and id(stmt) not in info.marked_updates:
-                    # innermost analysis declined to mark it
-                    if loop is owner[id(stmt)]:
-                        del marked[id(stmt)]
-                elif id(stmt) in info.marked_updates:
-                    marked[id(stmt)] = info.marked_updates[id(stmt)]
+    for stmt in walk_stmts(body):
+        if isinstance(stmt, _LOOP_TYPES):
+            marked.update(analyze_loop_dependences(stmt).marked_updates)
     return marked

@@ -1,4 +1,10 @@
-"""Module-analysis driver tests: verdict stamping onto the region tree."""
+"""Module-analysis driver tests: verdict stamping onto the region tree,
+and each per-function analysis fact built once."""
+
+import sys
+from collections import Counter
+
+import pytest
 
 from repro.analysis.driver import (
     analyze_module,
@@ -6,8 +12,15 @@ from repro.analysis.driver import (
     resolve_loop_region,
     unknown_verdict,
 )
+from repro.analysis import dominators, loops
+from repro.analysis.dataflow import ReachingDefinitions
 from repro.analysis.verdict import UNKNOWN_TAG, Verdict
+from repro.bench_suite.registry import all_benchmarks, get_benchmark
+from repro.frontend.ast_nodes import DoWhileStmt, ForStmt, WhileStmt, walk_stmts
+from repro.frontend.parser import parse_program
 from repro.instrument.compile import kremlin_cc
+from repro.lowering import dep_break
+from repro.lowering.lower import lower_program
 from tests.conftest import compile_source
 
 
@@ -124,3 +137,79 @@ class TestCompileIntegration:
             "int main() { return 0; }", "skip.c", analyze=False
         )
         assert program.analysis is None
+
+
+def count_builds(monkeypatch, owner, name, key) -> Counter:
+    """Count calls of ``owner.name`` by ``key(first argument)``.
+
+    Modules import analysis entry points by name, so the counting
+    wrapper replaces every ``repro`` module attribute bound to the
+    original, not just the defining one.
+    """
+    original = getattr(owner, name)
+    counts: Counter = Counter()
+
+    def counting(*args, **kwargs):
+        counts[key(args[0])] += 1
+        return original(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, counting)
+        return counts
+    for module in list(sys.modules.values()):
+        if not getattr(module, "__name__", "").startswith("repro"):
+            continue
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+class TestFactsBuiltOnce:
+    @pytest.mark.parametrize("key", ["bt", "mandel", "ammp"])
+    def test_analyze_module_builds_each_fact_once_per_function(
+        self, monkeypatch, key
+    ):
+        program = kremlin_cc(get_benchmark(key).source, f"{key}.c")
+        by_name = {
+            "ReachingDefinitions": count_builds(
+                monkeypatch, ReachingDefinitions, "_compute",
+                lambda rd: rd.function.name,
+            ),
+            "find_natural_loops": count_builds(
+                monkeypatch, loops, "find_natural_loops",
+                lambda function: function.name,
+            ),
+            "dominator_tree": count_builds(
+                monkeypatch, dominators, "dominator_tree",
+                lambda function: function.name,
+            ),
+        }
+        analyze_module(program.module)
+        functions = set(program.module.functions)
+        for fact, counts in by_name.items():
+            assert set(counts) == functions, fact
+            assert max(counts.values()) == 1, (fact, counts)
+
+    def test_lowering_classifies_each_ast_loop_once(self, monkeypatch):
+        calls: Counter = Counter()
+        original = dep_break.analyze_loop_dependences
+
+        def counting(loop):
+            calls[id(loop)] += 1
+            return original(loop)
+
+        monkeypatch.setattr(
+            dep_break, "analyze_loop_dependences", counting
+        )
+        for benchmark in all_benchmarks():
+            calls.clear()
+            program = parse_program(benchmark.source, benchmark.name)
+            ast_loops = {
+                id(stmt)
+                for function in program.functions
+                for stmt in walk_stmts(function.body)
+                if isinstance(stmt, (ForStmt, WhileStmt, DoWhileStmt))
+            }
+            lower_program(program)
+            assert set(calls) == ast_loops, benchmark.name
+            assert max(calls.values(), default=1) == 1, benchmark.name

@@ -316,3 +316,104 @@ class TestSpans:
         loop = program.function("main").body.body[0]
         assert isinstance(loop, ForStmt)
         assert loop.span.line_range == (2, 4)
+
+
+def nested_parens(depth: int) -> str:
+    """``main`` returning ``n`` inside ``depth`` parentheses."""
+    return (
+        "int main() {\n  int n = 41;\n  return "
+        + "(" * depth + "n" + ")" * depth
+        + ";\n}\n"
+    )
+
+
+def nested_ifs(depth: int) -> str:
+    """``depth`` nested ``if`` blocks, each counting one level into ``s``
+    (the innermost body is at the deepest level, so it assigns plainly)."""
+    lines = ["int main() {", "  int n = 500;", "  int s = 0;"]
+    for level in range(1, depth + 1):
+        lines.append(f"if (n > {level}) {{")
+        lines.append("n = s;" if level == depth else "s = s + 1;")
+    lines.append("}" * depth)
+    lines.append("  return n;")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+class TestNestingLimit:
+    """127 levels are accepted (C11's block nesting guarantee); level 128
+    is a ParseError, never a RecursionError."""
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [(nested_parens(127), 41), (nested_ifs(127), 126)],
+        ids=["parens", "ifs"],
+    )
+    def test_deepest_accepted_program_runs_alike_on_every_engine(
+        self, source, expected
+    ):
+        from repro import KremlinSession
+        from repro.api import ProfileOptions
+        from repro.hcpa.serialize import profile_to_json
+
+        results = {}
+        for engine in ("tree", "compiled"):
+            session = KremlinSession(
+                profile_options=ProfileOptions(engine=engine)
+            )
+            assert session.check(source).verdicts is not None
+            report = session.analyze(source)
+            results[engine] = (
+                report.run.value,
+                profile_to_json(report.profile),
+            )
+        assert results["tree"][0] == expected
+        assert results["tree"] == results["compiled"]
+
+    @pytest.mark.parametrize("depth", [128, 1000])
+    def test_too_deep_parens_are_a_parse_error(self, depth):
+        source = nested_parens(depth)
+        with pytest.raises(ParseError) as caught:
+            parse_program(source)
+        # the span is the 128th parenthesis, the one that reaches the limit
+        column = source.splitlines()[2].index("(") + 128
+        assert caught.value.span.start.line == 3
+        assert caught.value.span.start.column == column
+        assert "nesting" in caught.value.message
+
+    @pytest.mark.parametrize("depth", [128, 1000])
+    def test_too_deep_ifs_are_a_parse_error(self, depth):
+        source = nested_ifs(depth)
+        with pytest.raises(ParseError) as caught:
+            parse_program(source)
+        # the first level-128 construct is the '+' of ``s = s + 1`` in
+        # the body of the 127th if
+        span = caught.value.span
+        assert span.start.line == 3 + 2 * 127
+        assert source.splitlines()[span.start.line - 1] == "s = s + 1;"
+        assert span.start.column == len("s = s ") + 1
+
+    def test_long_operator_chain_is_a_parse_error(self):
+        # a + a + ... builds a left-deep tree as deep as the chain is long
+        terms = "+".join(["n"] * 1000)
+        with pytest.raises(ParseError):
+            parse_program(f"int main() {{ int n = 1; return {terms}; }}")
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["- " * 200 + "n", "(int)" * 200 + "n", "n ? " * 200 + "1" + " : 0" * 200,
+         "a[" * 200 + "0" + "]" * 200],
+        ids=["unary", "cast", "conditional", "subscript"],
+    )
+    def test_every_recursive_expression_form_is_bounded(self, expr):
+        with pytest.raises(ParseError):
+            parse_program(
+                f"int a[4];\nint main() {{ int n = 1; return {expr}; }}"
+            )
+
+    def test_kremlin_cc_reports_the_parse_error(self):
+        from repro.frontend.errors import MiniCError
+        from repro.instrument.compile import kremlin_cc
+
+        with pytest.raises(MiniCError):
+            kremlin_cc(nested_ifs(400), "deep.c")
