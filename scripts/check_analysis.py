@@ -14,8 +14,9 @@ end of the planner contract:
 3. ``kremlin check`` runs clean (exit 0 or 2, never a crash) on each
    example source;
 4. the interprocedural mod/ref summaries upgrade at least one call-bearing
-   loop to ``SAFE_DOALL`` that the purity-only analysis called UNSAFE,
-   and the ``--summaries --cost --json`` output round-trips as JSON.
+   loop to ``SAFE_DOALL`` that the analysis without them
+   (``summaries={}``, every user call opaque) called UNSAFE, and the
+   ``--summaries --cost --json`` output round-trips as JSON.
 
 Exit code 0 = all checks pass. Run from the repo root:
 
@@ -113,10 +114,7 @@ def check_summaries() -> list[str]:
     import json
     from contextlib import redirect_stdout
 
-    from repro.analysis.dependence import (
-        analyze_function_dependences,
-        function_purity,
-    )
+    from repro.analysis.dependence import analyze_function_dependences
     from repro.analysis.verdict import Verdict
 
     problems: list[str] = []
@@ -126,15 +124,15 @@ def check_summaries() -> list[str]:
     except Exception as error:  # noqa: BLE001
         return [f"{path.name}: does not compile: {error}"]
 
-    # Re-analyze main twice: purity-only (the old binary fixpoint) vs
-    # summary-driven. At least one loop must move UNSAFE -> SAFE_DOALL.
+    # Re-analyze main twice: with no interprocedural facts (every user
+    # call opaque) vs summary-driven. At least one loop must move
+    # UNSAFE -> SAFE_DOALL.
     module = program.module
     main_fn = module.functions["main"]
-    purity = function_purity(module)
     before = {
         info.loop.header: info.verdict.verdict
         for info in analyze_function_dependences(
-            main_fn, module=module, purity=purity
+            main_fn, module=module, summaries={}
         )
     }
     after = {

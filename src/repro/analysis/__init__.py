@@ -3,7 +3,10 @@
 These passes play the role of LLVM's analyses in the paper's toolchain:
 dominators and natural loops (region structure validation), postdominators
 and control dependence (the static half of Kremlin's control-dependence
-tracking, §4.1), and induction/reduction detection (dependence breaking).
+tracking, §4.1). Induction and reduction detection over the IR lives in
+the dependence analyzer (:mod:`~repro.analysis.dependence`); the
+dependence-breaking marks HCPA consumes come from lowering
+(:mod:`repro.lowering.dep_break`).
 
 On top of that scaffolding sits the static loop-dependence analyzer
 (:mod:`~repro.analysis.dataflow`, :mod:`~repro.analysis.dependence`,
@@ -35,7 +38,6 @@ from repro.analysis.dependence import (
     DepClass,
     LoopDependenceInfo,
     analyze_function_dependences,
-    function_purity,
     may_alias,
 )
 from repro.analysis.dominators import (
@@ -49,7 +51,6 @@ from repro.analysis.driver import (
     analyze_module,
     analyze_program,
 )
-from repro.analysis.induction import detect_ir_dep_breaks
 from repro.analysis.lint import (
     RULES,
     Diagnostic,
@@ -119,10 +120,8 @@ __all__ = [
     "compute_static_costs",
     "costs_to_json",
     "definitions_in_loop",
-    "detect_ir_dep_breaks",
     "dominator_tree",
     "find_natural_loops",
-    "function_purity",
     "may_alias",
     "postdominator_tree",
     "postorder",

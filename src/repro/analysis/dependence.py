@@ -294,7 +294,7 @@ class _LoopContext:
         rd: ReachingDefinitions,
         forest: LoopForest,
         induction_of: dict[Loop, dict[Register, InductionVar]],
-        summaries: dict | None = None,
+        summaries: dict,
     ):
         self.function = function
         self.loop = loop
@@ -399,6 +399,37 @@ def _single_in_loop_def(
     return None
 
 
+def _match_self_update(
+    defs_in_loop: dict[Register, list[Definition]],
+    register: Register,
+    ops: frozenset[str],
+) -> tuple[BinOp, Value] | None:
+    """Match ``t = r ⊕ x; r = copy t`` as the loop's only write to ``r``.
+
+    ``⊕`` must be in ``ops``, and ``t`` must have a single in-loop
+    definition. ``r`` may sit on the right only when ``⊕`` is
+    commutative (anything but ``-``). Returns the update and ``x``.
+    """
+    defs = defs_in_loop[register]
+    if len(defs) != 1 or not isinstance(defs[0].instr, Copy):
+        return None
+    source = defs[0].instr.operand
+    if not isinstance(source, Register):
+        return None
+    update = _single_in_loop_def(defs_in_loop, source)
+    if not isinstance(update, BinOp) or update.op not in ops:
+        return None
+    if update.lhs is register:
+        return update, update.rhs
+    if update.rhs is register and update.op != "-":
+        return update, update.lhs
+    return None
+
+
+_INDUCTION_OPS = frozenset({"+", "-"})
+_SCALAR_REDUCTION_OPS = REDUCTION_OPS | {"-"}
+
+
 def _detect_inductions(
     loop: Loop, rd: ReachingDefinitions
 ) -> dict[Register, InductionVar]:
@@ -407,22 +438,11 @@ def _detect_inductions(
     interval from its (constant) initial value and the loop bound."""
     defs_in_loop = definitions_in_loop(rd, loop)
     out: dict[Register, InductionVar] = {}
-    for register, defs in defs_in_loop.items():
-        if len(defs) != 1 or not isinstance(defs[0].instr, Copy):
+    for register in defs_in_loop:
+        match = _match_self_update(defs_in_loop, register, _INDUCTION_OPS)
+        if match is None:
             continue
-        copy = defs[0].instr
-        source = copy.operand
-        if not isinstance(source, Register):
-            continue
-        update = _single_in_loop_def(defs_in_loop, source)
-        if not isinstance(update, BinOp) or update.op not in ("+", "-"):
-            continue
-        if update.lhs is register:
-            other = update.rhs
-        elif update.rhs is register and update.op == "+":
-            other = update.lhs
-        else:
-            continue
+        update, other = match
         step: int | None = None
         if isinstance(other, Constant) and isinstance(other.value, int):
             step = other.value if update.op == "+" else -other.value
@@ -552,26 +572,13 @@ def _detect_scalar_reductions(ctx: _LoopContext) -> dict[Register, BinOp]:
             for operand in owner.operands:
                 if isinstance(operand, Register):
                     uses[operand] = uses.get(operand, 0) + 1
-    for register, defs in ctx.defs_in_loop.items():
-        if len(defs) != 1 or not isinstance(defs[0].instr, Copy):
-            continue
-        source = defs[0].instr.operand
-        if not isinstance(source, Register):
-            continue
-        update = _single_in_loop_def(ctx.defs_in_loop, source)
-        if not isinstance(update, BinOp):
-            continue
-        if update.op not in REDUCTION_OPS and update.op != "-":
-            continue
-        if update.lhs is register:
-            pass
-        elif update.rhs is register and update.op != "-":
-            pass  # commutative: s = expr ⊕ s
-        else:
-            continue
+    for register in ctx.defs_in_loop:
+        match = _match_self_update(
+            ctx.defs_in_loop, register, _SCALAR_REDUCTION_OPS
+        )
         # The accumulator's only in-loop use must be its own update.
-        if uses.get(register, 0) == 1:
-            out[register] = update
+        if match is not None and uses.get(register, 0) == 1:
+            out[register] = match[0]
     return out
 
 
@@ -648,11 +655,7 @@ def _collect_accesses(ctx: _LoopContext, info: LoopDependenceInfo) -> None:
                 else:
                     affine = ctx.affine_of(instr.index, instr)
                 info.accesses.append(MemAccess(instr, block, obj, affine))
-            elif (
-                isinstance(instr, Call)
-                and not instr.is_builtin
-                and ctx.summaries is not None
-            ):
+            elif isinstance(instr, Call) and not instr.is_builtin:
                 _inline_summary_accesses(ctx, info, block, instr)
 
 
@@ -986,59 +989,6 @@ def _only_reduction_accesses(
 # ----------------------------------------------------------------------
 
 
-def function_purity(module: Module) -> dict[str, bool]:
-    """Which user functions are pure enough to call from a DOALL loop.
-
-    Pure means: no global loads/stores, no array parameters (which could
-    alias the loop's arrays), no impure builtins, and only pure callees.
-    Writes to a function's own allocas are fine — they are private.
-
-    One pass over the call graph's SCC condensation (callee-first):
-    a component is pure iff every member meets the direct conditions
-    and every out-of-component callee is pure — mutual recursion among
-    effect-free functions stays pure, exactly as the old fixpoint had it.
-    """
-    from repro.analysis.callgraph import build_call_graph
-
-    graph = build_call_graph(module)
-    direct: dict[str, bool] = {}
-    for name, function in module.functions.items():
-        pure = not any(
-            isinstance(param.type, ArrayType) for param in function.params
-        )
-        if pure:
-            for block in function.blocks:
-                for instr in block.instructions:
-                    if isinstance(instr, (Load, Store)) and isinstance(
-                        instr.mem, GlobalRef
-                    ):
-                        pure = False
-                    elif isinstance(instr, Call) and instr.is_builtin:
-                        if instr.callee not in PURE_BUILTINS:
-                            pure = False
-                if not pure:
-                    break
-        direct[name] = pure
-
-    purity: dict[str, bool] = {}
-    for component in graph.sccs():
-        members = [n for n in component if n in module.functions]
-        pure = all(direct.get(n, False) for n in members)
-        if pure:
-            for name in members:
-                for callee in graph.callees.get(name, set()):
-                    if callee in component:
-                        continue
-                    if not purity.get(callee, False):
-                        pure = False
-                        break
-                if not pure:
-                    break
-        for name in members:
-            purity[name] = pure
-    return purity
-
-
 def _impure_call_witness(instr: Call, description: str) -> DependenceWitness:
     return DependenceWitness(
         kind="impure-call",
@@ -1047,11 +997,7 @@ def _impure_call_witness(instr: Call, description: str) -> DependenceWitness:
     )
 
 
-def _analyze_calls(
-    ctx: _LoopContext,
-    info: LoopDependenceInfo,
-    purity: dict[str, bool],
-) -> None:
+def _analyze_calls(ctx: _LoopContext, info: LoopDependenceInfo) -> None:
     for block in ctx.blocks:
         for instr in block.instructions:
             if not isinstance(instr, Call):
@@ -1068,7 +1014,7 @@ def _analyze_calls(
                         "through it",
                     )
                 )
-            elif ctx.summaries is not None:
+            else:
                 summary = ctx.summaries.get(instr.callee)
                 if summary is not None and summary.transparent:
                     continue  # effects already inlined as accesses
@@ -1083,15 +1029,6 @@ def _analyze_calls(
                         instr,
                         f"call to '{instr.callee}' cannot be "
                         f"summarized ({reasons})",
-                    )
-                )
-            elif not purity.get(instr.callee, False):
-                info.impure_calls.append(instr)
-                info.witnesses.append(
-                    _impure_call_witness(
-                        instr,
-                        f"call to '{instr.callee}' may read or write "
-                        "shared state (globals or array arguments)",
                     )
                 )
 
@@ -1210,32 +1147,29 @@ def iterations_structurally_identical(info: LoopDependenceInfo) -> bool:
 
 def analyze_function_dependences(
     function: Function,
-    module: Module | None = None,
+    module: Module,
     rd: ReachingDefinitions | None = None,
-    purity: dict[str, bool] | None = None,
     summaries: dict | None = None,
     forest: LoopForest | None = None,
     inductions: dict[Loop, dict[Register, InductionVar]] | None = None,
 ) -> list[LoopDependenceInfo]:
     """Classify every natural loop of ``function``; innermost first.
 
-    When ``summaries`` (or a ``module`` to compute them from) is
-    available, calls to summarizable functions contribute synthetic
-    accesses instead of impure-call witnesses; an explicit ``purity``
-    map restores the old binary treatment (legacy callers/tests).
+    Calls to user functions resolve through ``summaries``, the mod/ref
+    summaries of :func:`~repro.analysis.summaries.compute_module_summaries`
+    (computed from ``module`` when not passed): a transparent callee
+    contributes synthetic accesses, any other call an impure-call
+    witness. ``summaries={}`` analyzes with no interprocedural facts.
     ``rd``, ``forest`` and ``inductions`` (from
     :func:`detect_loop_inductions` over that forest) are computed here
     when the caller has not already built them.
     """
     rd = rd or ReachingDefinitions(function)
     forest = forest or find_natural_loops(function)
-    if summaries is None and purity is None and module is not None:
+    if summaries is None:
         from repro.analysis.summaries import compute_module_summaries
 
         summaries = compute_module_summaries(module)
-    if purity is None:
-        purity = {}
-
     if inductions is None:
         inductions = detect_loop_inductions(forest, rd)
 
@@ -1254,7 +1188,7 @@ def analyze_function_dependences(
         _classify_scalars(ctx, info)
         _collect_accesses(ctx, info)
         _analyze_memory(ctx, info)
-        _analyze_calls(ctx, info, purity)
+        _analyze_calls(ctx, info)
         info.verdict = _assemble_verdict(info)
         out.append(info)
     return out

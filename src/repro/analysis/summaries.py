@@ -212,7 +212,7 @@ class FunctionSummary:
     top: bool = False
     #: observable ordering effects (RNG / I/O), directly or via callees
     impure: bool = False
-    #: old-style call purity: no memory effects and no array params
+    #: call purity: no memory effects and no array params
     pure: bool = False
     reasons: tuple[str, ...] = ()
 
@@ -385,8 +385,8 @@ def _roles(is_store: bool) -> str:
 
 
 def _direct_effect_free(function: Function) -> tuple[bool, str]:
-    """Old-style direct purity: the conditions a function must meet on
-    its own (callees are checked by the SCC pass)."""
+    """Direct purity: the conditions a function must meet on its own
+    (callees are checked by the SCC pass)."""
     if any(isinstance(p.type, ArrayType) for p in function.params):
         return False, "takes an array parameter"
     for block in function.blocks:

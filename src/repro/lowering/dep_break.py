@@ -3,15 +3,18 @@
 Kremlin statically identifies induction and reduction dependences and breaks
 them with a special shadow-memory update rule that ignores the dependency on
 the old value (paper §4.1). Working at the AST level (rather than on the IR,
-as LLVM-based Kremlin does) gives us exact variable identity; the IR-level
-analysis in :mod:`repro.analysis.induction` re-derives the same facts from
-the lowered code and is cross-checked against this one in tests.
+as LLVM-based Kremlin does) gives us exact variable identity. The static
+analyzer's IR-level detectors (:mod:`repro.analysis.dependence`) give every
+register-valued mark the same class; tests check that property.
 
 Classification, per innermost enclosing loop:
 
 * **induction update** — an assignment ``v = v ± c`` / ``v ±= c`` where ``c``
   is loop-invariant and this is the only assignment to ``v`` anywhere in the
-  loop. The ``for``-header step statement is the canonical case.
+  loop. The ``for``-header step statement is the canonical case. A call to
+  a user function anywhere in the loop may write any global or array, and
+  the analysis sees one loop without a symbol table, so in such a loop only
+  a constant ``c`` is invariant.
 * **reduction update** — ``v = v ⊕ e`` / ``v ⊕= e`` with ``⊕`` associative
   (``+``, ``-`` treated as ``+ (-e)``, ``*``), the only assignment to ``v``
   in the loop, and ``v`` not read by any *other* statement of the loop.
@@ -37,22 +40,23 @@ from dataclasses import dataclass, field
 from repro.frontend.ast_nodes import (
     AssignStmt,
     BinaryExpr,
+    BlockStmt,
     CallExpr,
-    CastExpr,
-    CondExpr,
     DeclStmt,
     DoWhileStmt,
     Expr,
     ExprStmt,
     ForStmt,
+    IfStmt,
     IndexExpr,
     NameExpr,
+    ReturnStmt,
     Stmt,
-    UnaryExpr,
     WhileStmt,
     walk_expr,
     walk_stmts,
 )
+from repro.interp.builtins import BUILTINS
 
 _LOOP_TYPES = (ForStmt, WhileStmt, DoWhileStmt)
 
@@ -66,8 +70,6 @@ _INDUCTION_OPS = {"+", "-"}
 class LoopDepInfo:
     """Dependence-breaking facts for one loop."""
 
-    induction_vars: set[str] = field(default_factory=set)
-    reduction_vars: set[str] = field(default_factory=set)
     #: id(AssignStmt) -> (kind, old-value operand index in the binop)
     marked_updates: dict[int, tuple[str, int]] = field(default_factory=dict)
 
@@ -94,60 +96,61 @@ def _direct_stmts(loop: Stmt):
         yield from walk_stmts(part)
 
 
-def _scalar_reads(expr: Expr) -> Counter:
-    """Count scalar-name reads in an expression (array bases excluded)."""
-    reads: Counter = Counter()
+def _stmt_exprs(stmt: Stmt):
+    """The expressions ``stmt`` itself evaluates (not its sub-statements';
+    an assignment's scalar target is a write, not a read)."""
+    if isinstance(stmt, AssignStmt):
+        yield stmt.value
+        if isinstance(stmt.target, IndexExpr):
+            yield from stmt.target.indices
+    elif isinstance(stmt, ExprStmt):
+        yield stmt.expr
+    elif isinstance(stmt, DeclStmt):
+        for decl in stmt.decls:
+            if decl.init is not None:
+                yield decl.init
+    elif isinstance(stmt, (ForStmt, WhileStmt, DoWhileStmt, IfStmt)):
+        if stmt.cond is not None:
+            yield stmt.cond
+    elif isinstance(stmt, ReturnStmt) and stmt.value is not None:
+        yield stmt.value
+
+
+def _scan_reads(expr: Expr, reads: Counter) -> bool:
+    """Count scalar-name reads of ``expr`` into ``reads`` (array bases
+    excluded); True when ``expr`` calls a user function."""
+    calls_user = False
     for node in walk_expr(expr):
         if isinstance(node, NameExpr):
             reads[node.name] += 1
-    return reads
+        elif isinstance(node, CallExpr) and node.callee not in BUILTINS:
+            calls_user = True
+    return calls_user
 
 
 def _expr_reads_name(expr: Expr, name: str) -> bool:
     for node in walk_expr(expr):
-        if isinstance(node, (NameExpr,)) and node.name == name:
-            return True
-        if isinstance(node, IndexExpr) and node.name == name:
+        if isinstance(node, (NameExpr, IndexExpr)) and node.name == name:
             return True
     return False
 
 
-def _has_calls(expr: Expr) -> bool:
-    return any(isinstance(node, CallExpr) for node in walk_expr(expr))
-
-
-def _collect_loop_writes(loop: Stmt) -> tuple[Counter, set[str]]:
-    """Scalar names assigned in the loop (count) and array names written."""
-    scalar_writes: Counter = Counter()
-    array_writes: set[str] = set()
-    for stmt in _direct_stmts(loop):
-        if isinstance(stmt, AssignStmt):
-            if isinstance(stmt.target, NameExpr):
-                scalar_writes[stmt.target.name] += 1
-            else:
-                array_writes.add(stmt.target.name)
-        elif isinstance(stmt, DeclStmt):
-            for decl in stmt.decls:
-                if decl.init is not None:
-                    scalar_writes[decl.name] += 1
-        elif isinstance(stmt, ExprStmt) and isinstance(stmt.expr, CallExpr):
-            # A call may write array arguments (by-reference) and globals;
-            # conservatively treat named array args as written.
-            for arg in stmt.expr.args:
-                if isinstance(arg, NameExpr):
-                    array_writes.add(arg.name)
-    return scalar_writes, array_writes
-
-
-def _is_loop_invariant(expr: Expr, scalar_writes: Counter, array_writes: set[str]) -> bool:
-    """Conservative loop-invariance: no reads of anything written in the
-    loop, and no calls (which could read mutated globals)."""
+def _is_loop_invariant(
+    expr: Expr, scalar_writes: Counter, array_writes: set[str], calls_user: bool
+) -> bool:
+    """Conservative loop-invariance: no calls (which could read mutated
+    globals) and no reads of anything written in the loop. When the loop
+    calls a user function, every variable counts as written."""
     for node in walk_expr(expr):
         if isinstance(node, CallExpr):
             return False
-        if isinstance(node, NameExpr) and scalar_writes[node.name] > 0:
+        if isinstance(node, NameExpr) and (
+            calls_user or scalar_writes[node.name] > 0
+        ):
             return False
-        if isinstance(node, IndexExpr) and node.name in array_writes:
+        if isinstance(node, IndexExpr) and (
+            calls_user or node.name in array_writes
+        ):
             return False
     return True
 
@@ -184,15 +187,6 @@ def _split_self_update(
     return None
 
 
-def _split_element_update(stmt: AssignStmt) -> tuple[str, Expr] | None:
-    """Decompose an array-element compound update ``A[i] ⊕= e``."""
-    if not isinstance(stmt.target, IndexExpr):
-        return None
-    if stmt.op in ("+=", "-=", "*="):
-        return (stmt.op[0], stmt.value)
-    return None
-
-
 def _innermost_loop_map(loop: Stmt) -> dict[int, Stmt]:
     """Map id(stmt) -> innermost loop containing it, for stmts under ``loop``."""
     owner: dict[int, Stmt] = {}
@@ -213,8 +207,6 @@ def _innermost_loop_map(loop: Stmt) -> dict[int, Stmt]:
 
 
 def _children_of(stmt: Stmt) -> list[Stmt]:
-    from repro.frontend.ast_nodes import BlockStmt, IfStmt
-
     if isinstance(stmt, BlockStmt):
         return list(stmt.body)
     if isinstance(stmt, IfStmt):
@@ -235,47 +227,37 @@ def analyze_loop_dependences(loop: Stmt) -> LoopDepInfo:
         raise TypeError("analyze_loop_dependences expects a loop statement")
 
     info = LoopDepInfo()
-    scalar_writes, array_writes = _collect_loop_writes(loop)
     owner = _innermost_loop_map(loop)
 
-    # Total scalar reads across the loop, per statement, so the reduction
-    # rule can exclude the candidate statement's own reads.
+    # One walk over every statement the loop re-executes: scalar names
+    # assigned (count), array names written, and scalar reads per
+    # statement, so the reduction rule can exclude the candidate
+    # statement's own reads.
+    scalar_writes: Counter = Counter()
+    array_writes: set[str] = set()
     stmt_reads: dict[int, Counter] = {}
+    calls_user = False
     for stmt in _direct_stmts(loop):
-        reads: Counter = Counter()
         if isinstance(stmt, AssignStmt):
-            reads += _scalar_reads(stmt.value)
-            if isinstance(stmt.target, IndexExpr):
-                for index in stmt.target.indices:
-                    reads += _scalar_reads(index)
-        elif isinstance(stmt, ExprStmt):
-            reads += _scalar_reads(stmt.expr)
+            if isinstance(stmt.target, NameExpr):
+                scalar_writes[stmt.target.name] += 1
+            else:
+                array_writes.add(stmt.target.name)
         elif isinstance(stmt, DeclStmt):
             for decl in stmt.decls:
                 if decl.init is not None:
-                    reads += _scalar_reads(decl.init)
-        elif isinstance(stmt, ForStmt):
-            if stmt.cond is not None:
-                reads += _scalar_reads(stmt.cond)
-        elif isinstance(stmt, (WhileStmt, DoWhileStmt)):
-            reads += _scalar_reads(stmt.cond)
-        from repro.frontend.ast_nodes import IfStmt, ReturnStmt
-
-        if isinstance(stmt, IfStmt):
-            reads += _scalar_reads(stmt.cond)
-        if isinstance(stmt, ReturnStmt) and stmt.value is not None:
-            reads += _scalar_reads(stmt.value)
+                    scalar_writes[decl.name] += 1
+        reads: Counter = Counter()
+        for expr in _stmt_exprs(stmt):
+            calls_user |= _scan_reads(expr, reads)
         stmt_reads[id(stmt)] = reads
     total_reads: Counter = Counter()
     for reads in stmt_reads.values():
         total_reads += reads
     # The analyzed loop's own condition also reads variables every iteration
     # (the canonical case: a for-loop's test reads its induction variable).
-    if isinstance(loop, ForStmt):
-        if loop.cond is not None:
-            total_reads += _scalar_reads(loop.cond)
-    else:
-        total_reads += _scalar_reads(loop.cond)
+    if loop.cond is not None:
+        calls_user |= _scan_reads(loop.cond, total_reads)
 
     for stmt in _direct_stmts(loop):
         if not isinstance(stmt, AssignStmt) or owner.get(id(stmt)) is not loop:
@@ -288,24 +270,19 @@ def analyze_loop_dependences(loop: Stmt) -> LoopDepInfo:
             if scalar_writes[name] != 1:
                 continue
             is_invariant_step = op in _INDUCTION_OPS and _is_loop_invariant(
-                other, scalar_writes, array_writes
+                other, scalar_writes, array_writes, calls_user
             )
             reads_elsewhere = (
                 total_reads[name] - stmt_reads[id(stmt)][name]
             ) > 0
-            if is_invariant_step and not _has_calls(other):
-                info.induction_vars.add(name)
+            if is_invariant_step:
                 info.marked_updates[id(stmt)] = ("induction", old_index)
             elif not reads_elsewhere and op in _REDUCTION_OPS:
-                info.reduction_vars.add(name)
                 info.marked_updates[id(stmt)] = ("reduction", old_index)
             continue
 
-        element_update = _split_element_update(stmt)
-        if element_update is not None:
-            _, _value = element_update
-            target = stmt.target
-            assert isinstance(target, IndexExpr)
+        target = stmt.target
+        if isinstance(target, IndexExpr) and stmt.op in ("+=", "-=", "*="):
             # Histogram-style reduction into memory: safe to break the
             # old-value dependence as long as neither the indices nor the
             # value read the array being updated.

@@ -11,10 +11,10 @@ import pytest
 from repro.analysis.dependence import (
     DepClass,
     analyze_function_dependences,
-    function_purity,
     iterations_structurally_identical,
     may_alias,
 )
+from repro.analysis.summaries import compute_module_summaries
 from repro.analysis.verdict import Verdict
 from repro.ir.types import FLOAT, INT, ArrayType
 from tests.conftest import compile_source
@@ -264,10 +264,10 @@ class TestWitnessShapes:
 class TestHelpers:
     def test_function_purity(self):
         program = compile_source(CORPUS)
-        purity = function_purity(program.module)
+        summaries = compute_module_summaries(program.module)
         # Every corpus function touches global arrays -> impure; purity is
         # about memory effects, not determinism.
-        assert purity["sum_reduction"] is False
+        assert summaries["sum_reduction"].pure is False
         source = """
         float square(float x) { return x * x; }
         float chain(float x) { return square(x) + 1.0; }
@@ -275,10 +275,10 @@ class TestHelpers:
         int main() { return 0; }
         """
         program = compile_source(source)
-        purity = function_purity(program.module)
-        assert purity["square"] is True
-        assert purity["chain"] is True  # purity propagates through calls
-        assert purity["noisy"] is False
+        summaries = compute_module_summaries(program.module)
+        assert summaries["square"].pure is True
+        assert summaries["chain"].pure is True  # propagates through calls
+        assert summaries["noisy"].pure is False
 
     def test_may_alias_rules(self):
         from repro.analysis.dependence import MemObject

@@ -6,10 +6,7 @@ brittle: a summary-computation change that moves any verdict must update
 the expectation here and explain why.
 """
 
-from repro.analysis.dependence import (
-    analyze_function_dependences,
-    function_purity,
-)
+from repro.analysis.dependence import analyze_function_dependences
 from repro.analysis.verdict import Verdict
 from tests.conftest import compile_source
 
@@ -159,11 +156,16 @@ class TestUpgradeOverPurity:
         """The before/after pair the whole feature exists for."""
         program = compile_source(DISJOINT_WRITES)
         function = program.module.function("main")
-        purity = function_purity(program.module)
+        # Before: no interprocedural facts, so the call stays opaque.
         before = analyze_function_dependences(
-            function, program.module, purity=purity
+            function, program.module, summaries={}
         )
         assert before[0].verdict.verdict is Verdict.UNSAFE
+        [witness] = before[0].verdict.witnesses
+        assert witness.kind == "impure-call"
+        assert witness.description == (
+            "call to 'blur' cannot be summarized (no summary)"
+        )
         after = analyze_function_dependences(function, program.module)
         assert after[0].verdict.verdict is Verdict.SAFE_DOALL
 

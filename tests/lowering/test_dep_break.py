@@ -1,8 +1,47 @@
 """AST-level induction/reduction marking tests."""
 
+import json
+
+import pytest
+
 from repro.frontend.parser import parse_program
+from repro.hcpa.serialize import profile_to_json
 from repro.ir.instructions import BinOp
+from repro.kremlib.profiler import profile_program
 from tests.conftest import compile_source
+
+#: a called function writes the state ``v``'s step reads, through a
+#: global scalar (call statement or call in a declaration) or a global
+#: array, so ``v += ...`` is not an induction update
+CALL_WRITES_STEP_STATE = {
+    "global-call-stmt": """
+        int g = 9;
+        int bump(int p) { g = p % 31; return p; }
+        int main() {
+          int v = 3;
+          for (int i = 0; i < 5; i++) { v += g; bump(v); }
+          return v;
+        }
+    """,
+    "global-call-decl": """
+        int g = 9;
+        int bump(int p) { g = p % 31; return p; }
+        int main() {
+          int v = 3;
+          for (int i = 0; i < 5; i++) { v += g; int t = bump(v); }
+          return v;
+        }
+    """,
+    "global-array": """
+        int ga[4];
+        int bump(int p) { ga[0] = p % 31; return p; }
+        int main() {
+          int v = 3;
+          for (int i = 0; i < 5; i++) { v += ga[0]; bump(v); }
+          return v;
+        }
+    """,
+}
 
 
 def marked_binops(source, name="main"):
@@ -76,6 +115,58 @@ class TestInductionMarking:
             if mark.dep_break == "induction":
                 accumulator = mark.operands[mark.break_operand]
                 assert getattr(accumulator, "name", "") != "i"
+
+
+def marks_on(source, name):
+    """Marks whose old-value operand is the variable ``name``."""
+    return [
+        m.dep_break
+        for m in marked_binops(source)
+        if getattr(m.operands[m.break_operand], "name", "") == name
+    ]
+
+
+class TestCallWritesStepState:
+    @pytest.mark.parametrize("case", sorted(CALL_WRITES_STEP_STATE))
+    def test_step_read_through_call_is_not_induction(self, case):
+        source = CALL_WRITES_STEP_STATE[case]
+        assert marks_on(source, "v") == []
+        assert marks_on(source, "i") == ["induction"]
+
+    @pytest.mark.parametrize("case", sorted(CALL_WRITES_STEP_STATE))
+    def test_tree_and_compiled_profiles_identical(self, case):
+        program = compile_source(CALL_WRITES_STEP_STATE[case])
+        tree, _ = profile_program(program, engine="tree")
+        compiled, _ = profile_program(program, engine="compiled")
+        assert json.dumps(profile_to_json(tree), sort_keys=True) == json.dumps(
+            profile_to_json(compiled), sort_keys=True
+        )
+
+    def test_builtin_call_keeps_global_step_induction(self):
+        # Builtins write no program state: the step still reads an
+        # invariant global.
+        source = """
+        int g = 2;
+        int main() {
+          int v = 3;
+          float x = 0.0;
+          for (int i = 0; i < 5; i++) { v += g; x = sqrt((float) v); }
+          return v + (int) x;
+        }
+        """
+        assert marks_on(source, "v") == ["induction"]
+
+    def test_call_in_condition_counts(self):
+        source = """
+        int g = 9;
+        int bump(int p) { g = p % 31; return p; }
+        int main() {
+          int v = 3;
+          while (bump(v) < 100) { v += g; }
+          return v;
+        }
+        """
+        assert "induction" not in marks_on(source, "v")
 
 
 class TestReductionMarking:
