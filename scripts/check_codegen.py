@@ -10,7 +10,10 @@ under the compiled engine and asserts, for each one:
    byte-identical to the tree engine's, at unlimited depth and under a
    depth window (``max_depth=2``), with metrics collection off and again
    with it on (the metrics-on fused code must compute the same profile);
-3. generated code is actually being exercised (the unit cache reports
+3. one profiler reused for two runs of one interpreter, on each engine,
+   yields the fresh profile byte for byte both times (and the first
+   run's profile is not changed by the second);
+4. generated code is actually being exercised (the unit cache reports
    codegen activity).
 
 Exit code 0 = all checks pass. Run from the repo root:
@@ -53,6 +56,19 @@ def _signature(program, engine: str, max_depth=None) -> tuple:
     )
 
 
+def _reuse_matches(program, engine: str, fresh: str) -> bool:
+    profiler = KremlinProfiler(program)
+    interp = Interpreter(program, observer=profiler, engine=engine)
+    profiles = []
+    for _ in range(2):
+        interp.run("main")
+        profiles.append(profiler.profile)
+    return all(
+        json.dumps(profile_to_json(profile), sort_keys=True) == fresh
+        for profile in profiles
+    )
+
+
 def _plain_signature(program, engine: str) -> tuple:
     result = Interpreter(program, engine=engine).run("main")
     return (
@@ -92,7 +108,20 @@ def main() -> int:
                 failures += 1
                 break
         else:
-            print(f"codegen-smoke: ok {label}")
+            fresh = _signature(program, "tree")[-1]
+            reused = [
+                engine
+                for engine in ("tree", "compiled")
+                if not _reuse_matches(program, engine, fresh)
+            ]
+            if reused:
+                print(
+                    f"codegen-smoke: FAIL {label}: reused profiler diverged "
+                    f"({', '.join(reused)})"
+                )
+                failures += 1
+            else:
+                print(f"codegen-smoke: ok {label}")
 
     # Generated code must actually have been exercised: every program
     # accumulates its AOT units in the per-program codegen cache.

@@ -52,10 +52,6 @@ class LoopForest:
     #: the dominator tree the back edges were found with
     dom: DominatorTree | None = None
 
-    @property
-    def top_level(self) -> list[Loop]:
-        return [loop for loop in self.loops if loop.parent is None]
-
     def loop_of(self, block: BasicBlock) -> Loop | None:
         return self.block_loop.get(block)
 

@@ -258,6 +258,11 @@ def _render_source_job(job: tuple) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _excluded_ids(text: str) -> frozenset[int]:
+    """Region ids from ``--exclude``'s comma-separated list."""
+    return frozenset(int(x) for x in text.split(",") if x.strip())
+
+
 def _build_session(options, path: str, **obs) -> KremlinSession:
     return KremlinSession(
         compile_options=CompileOptions(filename=path),
@@ -266,7 +271,10 @@ def _build_session(options, path: str, **obs) -> KremlinSession:
             max_depth=options.max_depth,
             engine=getattr(options, "engine", "compiled"),
         ),
-        plan_options=PlanOptions(personality=options.personality),
+        plan_options=PlanOptions(
+            personality=options.personality,
+            exclude=_excluded_ids(getattr(options, "exclude", "")),
+        ),
         **obs,
     )
 
@@ -294,11 +302,6 @@ def _render_source_inner(options, path: str, out, err) -> int:
     try:
         source = _read_source(path)
         report = _build_session(options, path).analyze(source)
-        if options.exclude:
-            excluded = {int(x) for x in options.exclude.split(",") if x.strip()}
-            report.plan = create_planner(options.personality).plan(
-                report.aggregated, frozenset(excluded)
-            )
     except (MiniCError, InterpreterError, OSError, ValueError) as error:
         print(f"kremlin: error: {error}", file=err)
         return 1
@@ -352,10 +355,9 @@ def _plan_from_profile(options) -> int:
     try:
         profile = load_profile(options.from_profile)
         aggregated = aggregate_profile(profile)
-        excluded = frozenset(
-            int(x) for x in options.exclude.split(",") if x.strip()
+        plan = create_planner(options.personality).plan(
+            aggregated, _excluded_ids(options.exclude)
         )
-        plan = create_planner(options.personality).plan(aggregated, excluded)
         plan.program_name = profile.program_name
     except (ProfileFormatError, OSError, ValueError) as error:
         print(f"kremlin: error: {error}", file=sys.stderr)

@@ -172,15 +172,6 @@ class StaticRegionTree:
             stack.extend(reversed(region.children_ids))
         return out
 
-    def plannable_regions(self) -> list[StaticRegion]:
-        """Regions a planner may recommend: functions and loops.
-
-        Body regions are analysis artifacts (one iteration), not things a
-        programmer parallelizes directly, so they are excluded — matching the
-        paper, which reports region counts over loops and functions.
-        """
-        return [r for r in self._regions if not r.is_body]
-
     def format_tree(self) -> str:
         """Indented dump of the whole tree, for debugging and docs."""
         lines: list[str] = []

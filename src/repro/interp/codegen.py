@@ -987,10 +987,10 @@ class _FunctionEmitter:
 class _SymSource:
     """One resolved shadow input of the current segment.
 
-    ``entry`` sources hold a resolved ``(times, valid)`` pair in numbered
-    locals behind an ``is not None`` guard; ``ctrl`` is the segment's
-    control-top resolution (``_ctm``/``_cvl``); ``list`` is a fully
-    materialized timestamp vector (no guard, full depth)."""
+    ``entry`` sources (operand, memory-cell and control-top entries) hold
+    a resolved ``(times, valid)`` pair in numbered locals behind an
+    ``is not None`` guard; ``list`` is a fully materialized timestamp
+    vector (no guard, full depth)."""
 
     __slots__ = ("kind", "tm", "vl", "guard", "origin")
 
@@ -1141,8 +1141,8 @@ class _FusedFunctionEmitter(_FunctionEmitter):
 
     def _seg_load(self, lines) -> None:
         if not self._seg_loaded:
-            lines.append("_cu = state[0]")
-            lines.append("_dp = state[1]")
+            lines.append("_cu = prof.tags")
+            lines.append("_dp = prof.tracked_depth")
             self._seg_loaded = True
 
     def _resolved(self, src: _SymSource) -> None:
@@ -1248,7 +1248,7 @@ class _FusedFunctionEmitter(_FunctionEmitter):
     def _entry_source(self, lines, expr: str) -> _SymSource:
         """Resolve entry ``expr`` once into numbered locals: statement-level
         :func:`~repro.kremlib.shadow.resolve_entry` against the current
-        tags, memoized in ``_rcache`` (see _gen_region_exit for the
+        tags, memoized in ``prefix_memo`` (see _gen_region_exit for the
         high-water upkeep)."""
         self._sym += 1
         n = self._sym
@@ -1262,7 +1262,7 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             f"        if {vl} > _dp:",
             f"            {vl} = _dp",
             "    else:",
-            f"        {vl} = _rcache.get(_tg, -1)",
+            f"        {vl} = prefix_memo.get(_tg, -1)",
             f"        if {vl} < 0:",
             f"            {vl} = len(_tg)",
             f"            if len(_cu) < {vl}:",
@@ -1271,9 +1271,9 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             f"            while _k < {vl} and _tg[_k] == _cu[_k]:",
             "                _k += 1",
             f"            {vl} = _k",
-            f"            _rcache[_tg] = {vl}",
-            f"            if {vl} > _rmc[0]:",
-            f"                _rmc[0] = {vl}",
+            f"            prefix_memo[_tg] = {vl}",
+            f"            if {vl} > memo_high[0]:",
+            f"                memo_high[0] = {vl}",
             f"        if len({tm}) < {vl}:",
             f"            {vl} = len({tm})",
             f"        if {vl} > _dp:",
@@ -1282,50 +1282,22 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         return _SymSource("entry", tm, vl, f"{e} is not None")
 
     def _ctrl_src(self, lines) -> _SymSource:
-        """The control-top entry, resolved once per segment into
-        ``(_ctm, _cvl)`` (``_ctm is None`` when there is no influence)."""
-        src = self._ctrl_source
-        if src is None:
-            lines += [
-                "_ce = control[-1][2] if control else None",
-                "if _ce is None:",
-                "    _ctm = None",
-                "else:",
-                "    _ctm, _ctg = _ce",
-                "    if _ctg is _cu:",
-                "        _cvl = len(_ctm)",
-                "        if _cvl > _dp:",
-                "            _cvl = _dp",
-                "    else:",
-                "        _cvl = _rcache.get(_ctg, -1)",
-                "        if _cvl < 0:",
-                "            _cvl = len(_ctg)",
-                "            if len(_cu) < _cvl:",
-                "                _cvl = len(_cu)",
-                "            _k = 0",
-                "            while _k < _cvl and _ctg[_k] == _cu[_k]:",
-                "                _k += 1",
-                "            _cvl = _k",
-                "            _rcache[_ctg] = _cvl",
-                "            if _cvl > _rmc[0]:",
-                "                _rmc[0] = _cvl",
-                "        if len(_ctm) < _cvl:",
-                "            _cvl = len(_ctm)",
-                "        if _cvl > _dp:",
-                "            _cvl = _dp",
-            ]
-            src = _SymSource("ctrl", "_ctm", "_cvl", "_ctm is not None")
-            self._ctrl_source = src
-        return src
+        """The control-top entry, resolved once per segment."""
+        if self._ctrl_source is None:
+            self._ctrl_source = self._entry_source(
+                lines, "control[-1][2] if control else None"
+            )
+        return self._ctrl_source
 
     # Region bodies (the profiler's on_region_enter/on_region_exit). The
-    # resolution cache maps a tags tuple to its common-prefix length with
+    # resolution memo maps a tags tuple to its common-prefix length with
     # the current tags. A region ENTER preserves every cached length
     # exactly — the appended instance id is freshly allocated, so no
     # cached tag can match it — and an EXIT only invalidates entries whose
-    # cached prefix overshoots the popped tag path. _rmc[0] tracks the
-    # cache's prefix high-water mark, so loop-level exits (the hot case:
-    # every cached prefix stops at or above the loop tag) skip the clear.
+    # cached prefix overshoots the popped tag path. memo_high[0] tracks
+    # the memo's prefix high-water mark, so loop-level exits (the hot
+    # case: every cached prefix stops at or above the loop tag) skip the
+    # clear.
     def _gen_region_enter(self, lines, static_id) -> None:
         maxd = self._max_depth
         lines += [
@@ -1333,13 +1305,10 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             f"_rg = _ActiveRegion({static_id}, prof._next_instance, _tk)",
             "prof._next_instance += 1",
             "stack.append(_rg)",
-            "_tg = state[0] + (_rg.instance,)",
-            "state[0] = _tg",
-            "prof.tags = _tg",
+            "prof.tags += (_rg.instance,)",
             "_td = len(stack)",
             f"if _td > {maxd}:",
             f"    _td = {maxd}",
-            "state[1] = _td",
             "prof.tracked_depth = _td",
             "if _tk:",
             "    cps.append(0)",
@@ -1356,30 +1325,26 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             "    raise ProfilerError(",
             f"        'unbalanced regions: exiting #{static_id} but '",
             "        '#%d is on top' % _rg.static_id)",
-            "_tg = state[0][:-1]",
-            "state[0] = _tg",
+            "_tg = prof.tags[:-1]",
             "prof.tags = _tg",
             "_td = len(stack)",
             f"if _td > {maxd}:",
             f"    _td = {maxd}",
-            "state[1] = _td",
             "prof.tracked_depth = _td",
-            "if _rg.tracked:",
-            "    _rg.cp = cps.pop()",
-            "_cp = _rg.cp",
-            "if not _rg.tracked or _cp > _rg.work:",
+            "_cp = cps.pop() if _rg.tracked else _rg.work",
+            "if _cp > _rg.work:",
             "    _cp = _rg.work",
-            "_c = _intern(_rg.static_id, _rg.work, _cp,",
-            "             tuple(sorted(_rg.children.items())))",
+            "_c = prof.dictionary.intern(_rg.static_id, _rg.work, _cp,",
+            "                            tuple(sorted(_rg.children.items())))",
             "if stack:",
             "    _pr = stack[-1]",
             "    _pr.work += _rg.work",
             "    _pr.children[_c] = _pr.children.get(_c, 0) + 1",
             "else:",
             "    prof.root_char = _c",
-            "if _rmc[0] > len(_tg):",
-            "    _rcache.clear()",
-            "    _rmc[0] = 0",
+            "if memo_high[0] > len(_tg):",
+            "    prefix_memo.clear()",
+            "    memo_high[0] = 0",
         ]
 
     def _materialize(self, lines, ts: _SymTS) -> str:
@@ -1770,8 +1735,8 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         args = [self._operand(arg) for arg in instr.args]
         # on_call: seed the callee's parameter shadows and charge the call
         # overhead itself — same statement order as the tree profiler.
-        frag.append("_cur = state[0]")
-        frag.append("_tdp = state[1]")
+        frag.append("_cur = prof.tags")
+        frag.append("_tdp = prof.tracked_depth")
         frag.append(
             "_ctr = _resolve(control[-1][2], _cur) if control else None"
         )
@@ -1819,7 +1784,7 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         if instr.result is not None:
             frag.append("if _pn is not None:")
             frag.append(
-                f"    {self._sreg(instr.result.index)} = (_pn, state[0])"
+                f"    {self._sreg(instr.result.index)} = (_pn, prof.tags)"
             )
 
 

@@ -116,10 +116,6 @@ class RunResult:
     instructions_retired: int = 0
     total_cost: int = 0
 
-    @property
-    def output_text(self) -> str:
-        return "\n".join(self.output)
-
 
 # Each MiniC call adds a few Python frames; stay well inside Python's own
 # recursion limit so the guard fires first with a clear message.

@@ -3,10 +3,11 @@
 :class:`CompiledEngine` owns one interpreter instance's bindings of the
 cached :class:`~repro.interp.codegen.CodegenUnit`: it builds the exec
 environment (instance-scoped names like ``cells``/``interp``/``counts``
-and the ``_go_*``/``_ga_*``/``_gid_*`` global-array bindings; profiler
-state mirrors for the fused flavor), executes the unit's code object to
-materialize the generated functions, and drives entry-point calls through
-the observer's run lifecycle (``on_run_start``/``on_run_end``).
+and the ``_go_*``/``_ga_*``/``_gid_*`` global-array bindings; for the
+fused flavor, the profiler itself and its per-run state containers),
+executes the unit's code object to materialize the generated functions,
+and drives entry-point calls through the observer's run lifecycle
+(``on_run_start``/``on_run_end``).
 
 Code objects are compiled once per program (cached on the program by
 :func:`~repro.interp.codegen.codegen_unit`); per-interpreter preparation
@@ -47,16 +48,6 @@ class CompiledEngine:
         #: wall-clock seconds spent in prepare() (codegen + env binding);
         #: near-zero on unit-cache hits. The bench harness records it.
         self.codegen_seconds = 0.0
-        # Fused-flavor profiler mirrors: [tags, tracked_depth] in a
-        # two-slot list, per-depth cp maxima for the tracked prefix of the
-        # region stack, and the tags -> common-prefix-length memo.
-        self._state: list | None = None
-        self._cps: list | None = None
-        self._rcache: dict | None = None
-        # High-water mark of cached resolution prefixes: region exits only
-        # clear _rcache when the popped tag is shorter than this (a cached
-        # prefix could otherwise overshoot the live region path).
-        self._rmc: list = [0]
         self._frames_cell = None
 
     # ------------------------------------------------------------------
@@ -109,21 +100,18 @@ class CompiledEngine:
                 observer.max_depth,
                 metrics_on,
             )
-            self._state = [observer.tags, observer.tracked_depth]
-            self._cps = []
-            self._rcache = {}
+            # The profiler resets these containers in place each run, so
+            # binding them once here stays valid.
             env.update(
                 {
-                    "state": self._state,
-                    "cps": self._cps,
-                    "_rcache": self._rcache,
-                    "_rmc": self._rmc,
                     "stack": observer.stack,
+                    "cps": observer.cps,
+                    "prefix_memo": observer.prefix_memo,
+                    "memo_high": observer.memo_high,
                     "mem_shadow": observer.mem_shadow,
                     "prof": observer,
                     "_ActiveRegion": _ActiveRegion,
                     "ProfilerError": ProfilerError,
-                    "_intern": observer.dictionary.intern,
                     "_resolve": resolve_entry,
                     "_cts": _compute_ts,
                 }
@@ -174,13 +162,6 @@ class CompiledEngine:
         counts[1] = interp.total_cost
         if observer is not None:
             observer.on_run_start(interp)
-            # Sync mirrors after the profiler reset its source state.
-            state = self._state
-            state[0] = observer.tags
-            state[1] = observer.tracked_depth
-            del self._cps[:]
-            self._rcache.clear()
-            self._rmc[0] = 0
             if self._frames_cell is not None:
                 self._frames_cell[0] += 1
         function = interp.module.function(entry)

@@ -19,9 +19,9 @@ Region enter/exit markers maintain the region stack; every exit interns a
 ``(static region, work, cp, children)`` summary into the compression
 dictionary (§4.4) and credits the summary character to the parent.
 
-The code is written for the interpreter's hot loop: attribute lookups are
-hoisted, entries are plain tuples, and the common "written in the current
-region phase" case resolves by tuple identity.
+Entries are plain tuples; :func:`~repro.kremlib.shadow.resolve_entry`
+resolves the common "written in the current region phase" case by tuple
+identity.
 """
 
 from __future__ import annotations
@@ -29,9 +29,13 @@ from __future__ import annotations
 from repro.hcpa.summaries import CompressionDictionary, ParallelismProfile
 from repro.instrument.compile import CompiledProgram
 from repro.interp.interpreter import ExecutionObserver, Interpreter, RunResult
-from repro.ir.instructions import BinOp
 from repro.ir.values import Register
-from repro.kremlib.shadow import ShadowFrame, make_cell_table, resolve_entry
+from repro.kremlib.shadow import (
+    ShadowFrame,
+    _compute_ts,
+    make_cell_table,
+    resolve_entry,
+)
 from repro.obs.metrics import get_metrics, metrics_enabled
 from repro.obs.trace import get_tracer
 
@@ -39,13 +43,12 @@ _UNLIMITED_DEPTH = 1 << 30
 
 
 class _ActiveRegion:
-    __slots__ = ("static_id", "instance", "work", "cp", "children", "tracked")
+    __slots__ = ("static_id", "instance", "work", "children", "tracked")
 
     def __init__(self, static_id: int, instance: int, tracked: bool):
         self.static_id = static_id
         self.instance = instance
         self.work = 0
-        self.cp = 0
         self.children: dict[int, int] = {}
         self.tracked = tracked
 
@@ -55,7 +58,14 @@ class ProfilerError(Exception):
 
 
 class KremlinProfiler(ExecutionObserver):
-    """HCPA observer; attach to an :class:`Interpreter` and run."""
+    """HCPA observer; attach to an :class:`Interpreter` and run.
+
+    The profiler owns all per-run HCPA state, and both engines work on it
+    directly: the tree engine through the hooks below, the compiled
+    engine's fused code through the same objects bound into its module
+    environment. The mutable containers are therefore reset in place
+    (:meth:`on_run_start`), never rebound.
+    """
 
     # The compiled engine bakes this observer's hook bodies into its
     # generated code (repro.interp.codegen, fused flavor) instead of firing
@@ -68,11 +78,20 @@ class KremlinProfiler(ExecutionObserver):
         self.dictionary = CompressionDictionary()
         self.root_char: int | None = None
 
-        # Region stack state.
+        # Region stack state: the active regions, their instance-id path,
+        # the depth of the tracked (depth-window) prefix, and that
+        # prefix's per-depth critical-path maxima.
         self.stack: list[_ActiveRegion] = []
         self.tags: tuple[int, ...] = ()
         self.tracked_depth = 0
+        self.cps: list[int] = []
         self._next_instance = 1
+        # The fused code's resolution memo: tags tuple -> common-prefix
+        # length with the current tags. memo_high[0] is the longest cached
+        # prefix; a region exit clears the memo only when the popped tag
+        # path is shorter than it.
+        self.prefix_memo: dict[tuple, int] = {}
+        self.memo_high: list[int] = [0]
 
         # Two-level shadow memory: storage id -> second-level cell table.
         # Array storages get array-backed tables (one slot per element,
@@ -82,6 +101,8 @@ class KremlinProfiler(ExecutionObserver):
 
         self._pending_return: list | None = None
         self._finished_profile: ParallelismProfile | None = None
+        # The interpreter's retired count is cumulative across runs.
+        self._retired_at_start = 0
 
         # Observability: the enabled flag is snapshotted at construction
         # (same gating contract as the compiled engine's codegen), and the
@@ -120,44 +141,40 @@ class KremlinProfiler(ExecutionObserver):
                 self._m_frames[0] += 1
         return shadow
 
-    def _resolve(self, entry):
-        """Resolve an entry to (times, valid_depth); None if all stale.
+    def _event(self, shadow: ShadowFrame, operands, cost: int, entry=None):
+        """One non-call event; returns its result timestamp vector.
 
-        Thin wrapper over the shared prefix-resolution routine
-        (:func:`~repro.kremlib.shadow.resolve_entry`) binding the current
-        region tags; kept as a method so hook bodies read naturally.
+        Resolves the operand registers, the optional memory-cell ``entry``
+        and the control top against the current tags, merges them into
+        ``ts[d] = max(inputs[d]) + cost``, charges ``cost`` to the
+        innermost region and raises the tracked prefix's cp maxima.
         """
-        return resolve_entry(entry, self.tags)
-
-    def _compute_ts(self, inputs, cost: int) -> list:
-        """ts[d] = max over inputs of times[d] (0 beyond validity) + cost."""
-        depth = self.tracked_depth
-        ts = [cost] * depth
-        for times, valid in inputs:
-            if valid > depth:
-                valid = depth
-            for d in range(valid):
-                t = times[d] + cost
-                if t > ts[d]:
-                    ts[d] = t
-        return ts
-
-    def _account(self, ts: list, cost: int) -> None:
-        """Charge work to the innermost region; raise cps along the stack."""
-        stack = self.stack
-        if not stack:
-            return
-        stack[-1].work += cost
-        for d in range(len(ts)):
-            region = stack[d]
-            if ts[d] > region.cp:
-                region.cp = ts[d]
-
-    def _control_top(self, shadow: ShadowFrame):
+        # Plain loops, not comprehensions: this runs once per retired
+        # instruction on the tree engine.
+        tags = self.tags
+        registers = shadow.registers
+        entries = [entry]
+        for index in operands:
+            entries.append(registers[index])
         control = shadow.control
-        if not control:
-            return None
-        return self._resolve(control[-1][2])
+        if control:
+            entries.append(control[-1][2])
+        inputs = []
+        for e in entries:
+            if e is not None:
+                resolved = resolve_entry(e, tags)
+                if resolved is not None:
+                    inputs.append(resolved)
+        ts = _compute_ts(inputs, cost, self.tracked_depth)
+        if self.stack:
+            self.stack[-1].work += cost
+            cps = self.cps
+            d = 0
+            for t in ts:
+                if t > cps[d]:
+                    cps[d] = t
+                d += 1
+        return ts
 
     # ------------------------------------------------------------------
     # Region events
@@ -170,6 +187,8 @@ class KremlinProfiler(ExecutionObserver):
         self.stack.append(region)
         self.tags = self.tags + (region.instance,)
         self.tracked_depth = min(len(self.stack), self.max_depth)
+        if tracked:
+            self.cps.append(0)
 
     def on_region_exit(self, instr, frame) -> None:
         if not self.stack:
@@ -185,10 +204,10 @@ class KremlinProfiler(ExecutionObserver):
         self.tags = self.tags[:-1]
         self.tracked_depth = min(len(self.stack), self.max_depth)
 
-        cp = region.cp
-        if not region.tracked or cp > region.work:
-            # Depth-limited regions fall back to the serial assumption;
-            # cp can also never exceed work (defensive clamp).
+        # Depth-limited regions fall back to the serial assumption; cp can
+        # also never exceed work (defensive clamp).
+        cp = self.cps.pop() if region.tracked else region.work
+        if cp > region.work:
             cp = region.work
         children = tuple(sorted(region.children.items()))
         char = self.dictionary.intern(region.static_id, region.work, cp, children)
@@ -204,83 +223,17 @@ class KremlinProfiler(ExecutionObserver):
     # ------------------------------------------------------------------
 
     def on_compute(self, instr, frame) -> None:
-        """Hot path: inlined resolve + timestamp + accounting.
+        """``instr.shadow_ops`` (precomputed by the instrumentation pass)
+        already honours the dependence-breaking rule."""
+        shadow = self._shadow(frame)
+        ts = self._event(shadow, instr.shadow_ops, instr.cost)
+        if instr.result_index is not None:
+            shadow.registers[instr.result_index] = (ts, self.tags)
 
-        Functionally identical to resolving each operand with
-        :func:`~repro.kremlib.shadow.resolve_entry`, computing
-        ``ts[d] = max(inputs[d]) + cost``, charging work/cp, and storing the
-        result entry — written out longhand because this runs once per
-        retired instruction. ``instr.shadow_ops`` (precomputed by the
-        instrumentation pass) already honours the dependence-breaking rule.
-        """
-        shadow = frame.shadow
-        if shadow is None:
-            shadow = self._shadow(frame)
-        registers = shadow.registers
-        cost = instr.cost
-        depth = self.tracked_depth
-        current = self.tags
-        ts = [cost] * depth
-
-        for index in instr.shadow_ops:
-            entry = registers[index]
-            if entry is None:
-                continue
-            times, tags = entry
-            if tags is current:
-                valid = len(times)
-            else:
-                valid = len(tags)
-                if len(current) < valid:
-                    valid = len(current)
-                if len(times) < valid:
-                    valid = len(times)
-                k = 0
-                while k < valid and tags[k] == current[k]:
-                    k += 1
-                valid = k
-            if valid > depth:
-                valid = depth
-            for d in range(valid):
-                t = times[d] + cost
-                if t > ts[d]:
-                    ts[d] = t
-
-        control = shadow.control
-        if control:
-            resolved = self._resolve(control[-1][2])
-            if resolved is not None:
-                times, valid = resolved
-                if valid > depth:
-                    valid = depth
-                for d in range(valid):
-                    t = times[d] + cost
-                    if t > ts[d]:
-                        ts[d] = t
-
-        stack = self.stack
-        if stack:
-            stack[-1].work += cost
-            for d in range(depth):
-                region = stack[d]
-                if ts[d] > region.cp:
-                    region.cp = ts[d]
-
-        result_index = instr.result_index
-        if result_index is not None:
-            registers[result_index] = (ts, current)
+    on_builtin = on_compute
 
     def on_load(self, instr, frame, storage, index: int) -> None:
-        shadow = frame.shadow
-        if shadow is None:
-            shadow = self._shadow(frame)
-        registers = shadow.registers
-
-        inputs = []
-        for operand_index in instr.shadow_ops:
-            resolved = self._resolve(registers[operand_index])
-            if resolved is not None:
-                inputs.append(resolved)
+        shadow = self._shadow(frame)
         if type(storage) is int:
             # Scalar global: shared dict table keyed by interned name.
             cell_map = self.mem_shadow.get(storage)
@@ -288,35 +241,11 @@ class KremlinProfiler(ExecutionObserver):
         else:
             cell_map = self.mem_shadow.get(id(storage))
             entry = None if cell_map is None else cell_map[index]
-        if entry is not None:
-            resolved = self._resolve(entry)
-            if resolved is not None:
-                inputs.append(resolved)
-        control = self._control_top(shadow)
-        if control is not None:
-            inputs.append(control)
-
-        ts = self._compute_ts(inputs, instr.cost)
-        self._account(ts, instr.cost)
-        registers[instr.result_index] = (ts, self.tags)
+        ts = self._event(shadow, instr.shadow_ops, instr.cost, entry)
+        shadow.registers[instr.result_index] = (ts, self.tags)
 
     def on_store(self, instr, frame, storage, index: int) -> None:
-        shadow = frame.shadow
-        if shadow is None:
-            shadow = self._shadow(frame)
-        registers = shadow.registers
-
-        inputs = []
-        for operand_index in instr.shadow_ops:
-            resolved = self._resolve(registers[operand_index])
-            if resolved is not None:
-                inputs.append(resolved)
-        control = self._control_top(shadow)
-        if control is not None:
-            inputs.append(control)
-
-        ts = self._compute_ts(inputs, instr.cost)
-        self._account(ts, instr.cost)
+        ts = self._event(self._shadow(frame), instr.shadow_ops, instr.cost)
         if type(storage) is int:
             cell_map = self.mem_shadow.get(storage)
             if cell_map is None:
@@ -332,80 +261,51 @@ class KremlinProfiler(ExecutionObserver):
         if self._metrics_on:
             self._m_cells[0] += 1
 
-    def on_builtin(self, instr, frame) -> None:
-        shadow = frame.shadow
-        if shadow is None:
-            shadow = self._shadow(frame)
-        registers = shadow.registers
-        inputs = []
-        for operand_index in instr.shadow_ops:
-            resolved = self._resolve(registers[operand_index])
-            if resolved is not None:
-                inputs.append(resolved)
-        control = self._control_top(shadow)
-        if control is not None:
-            inputs.append(control)
-        ts = self._compute_ts(inputs, instr.cost)
-        self._account(ts, instr.cost)
-        if instr.result_index is not None:
-            registers[instr.result_index] = (ts, self.tags)
-
     # ------------------------------------------------------------------
     # Calls
     # ------------------------------------------------------------------
 
     def on_call(self, instr, caller_frame, callee_frame) -> None:
-        caller_shadow = caller_frame.shadow
-        if caller_shadow is None:
-            caller_shadow = self._shadow(caller_frame)
+        caller_shadow = self._shadow(caller_frame)
         registers = caller_shadow.registers
-        control = self._control_top(caller_shadow)
+        tags = self.tags
+        depth = self.tracked_depth
         cost = instr.cost
+        control = caller_shadow.control
+        resolved = resolve_entry(control[-1][2], tags) if control else None
+        base = [] if resolved is None else [resolved]
 
         callee_shadow = ShadowFrame(callee_frame.function.num_registers)
         callee_frame.shadow = callee_shadow
         callee_registers = callee_shadow.registers
 
-        all_inputs = [] if control is None else [control]
+        operands = []
         for param, arg in zip(callee_frame.function.params, instr.args):
-            arg_inputs = [] if control is None else [control]
+            arg_inputs = list(base)
             if type(arg) is Register:
-                resolved = self._resolve(registers[arg.index])
+                operands.append(arg.index)
+                resolved = resolve_entry(registers[arg.index], tags)
                 if resolved is not None:
                     arg_inputs.append(resolved)
-                    all_inputs.append(resolved)
-            param_ts = self._compute_ts(arg_inputs, cost)
-            callee_registers[param.index] = (param_ts, self.tags)
+            param_ts = _compute_ts(arg_inputs, cost, depth)
+            callee_registers[param.index] = (param_ts, tags)
 
         # Charge the call overhead itself.
-        ts = self._compute_ts(all_inputs, cost)
-        self._account(ts, cost)
+        self._event(caller_shadow, operands, cost)
 
     def on_return(self, ret, frame) -> None:
-        shadow = frame.shadow
-        if shadow is None:
-            shadow = self._shadow(frame)
-        inputs = []
         value = ret.value
-        if value is not None and type(value) is Register:
-            resolved = self._resolve(shadow.registers[value.index])
-            if resolved is not None:
-                inputs.append(resolved)
-        control = self._control_top(shadow)
-        if control is not None:
-            inputs.append(control)
-        ts = self._compute_ts(inputs, ret.cost)
-        self._account(ts, ret.cost)
-        self._pending_return = ts
+        operands = (value.index,) if type(value) is Register else ()
+        self._pending_return = self._event(
+            self._shadow(frame), operands, ret.cost
+        )
 
     def on_call_return(self, call_instr, caller_frame) -> None:
         pending = self._pending_return
         self._pending_return = None
         if call_instr.result is None or pending is None:
             return
-        shadow = caller_frame.shadow
-        if shadow is None:
-            shadow = self._shadow(caller_frame)
+        shadow = self._shadow(caller_frame)
         shadow.registers[call_instr.result.index] = (pending, self.tags)
 
     # ------------------------------------------------------------------
@@ -413,9 +313,7 @@ class KremlinProfiler(ExecutionObserver):
     # ------------------------------------------------------------------
 
     def on_branch(self, branch, frame, block) -> None:
-        shadow = frame.shadow
-        if shadow is None:
-            shadow = self._shadow(frame)
+        shadow = self._shadow(frame)
         control_stack = shadow.control
         block_key = id(block)
         # Re-executing a branch (back edge) ends every control region opened
@@ -429,18 +327,9 @@ class KremlinProfiler(ExecutionObserver):
                 del control_stack[i:]
                 break
 
-        inputs = []
         cond = branch.cond
-        if type(cond) is Register:
-            resolved = self._resolve(shadow.registers[cond.index])
-            if resolved is not None:
-                inputs.append(resolved)
-        if control_stack:
-            resolved = self._resolve(control_stack[-1][2])
-            if resolved is not None:
-                inputs.append(resolved)
-        ts = self._compute_ts(inputs, branch.cost)
-        self._account(ts, branch.cost)
+        operands = (cond.index,) if type(cond) is Register else ()
+        ts = self._event(shadow, operands, branch.cost)
         if block_key in self._loop_branches:
             return  # loop-continuation tests do not enter the control stack
         join = self._branch_join.get(block_key)
@@ -464,12 +353,20 @@ class KremlinProfiler(ExecutionObserver):
     # ------------------------------------------------------------------
 
     def on_run_start(self, interpreter) -> None:
+        # A fresh dictionary per run: a profile already returned keeps its
+        # own, so reusing the profiler never changes it.
+        self.dictionary = CompressionDictionary()
+        self.root_char = None
         self.stack.clear()
         self.tags = ()
         self.tracked_depth = 0
+        self.cps.clear()
+        self.prefix_memo.clear()
+        self.memo_high[0] = 0
         self.mem_shadow.clear()
         self._pending_return = None
         self._finished_profile = None
+        self._retired_at_start = interpreter.instructions_retired
 
     def on_run_end(self, interpreter) -> None:
         if self.stack:
@@ -484,7 +381,9 @@ class KremlinProfiler(ExecutionObserver):
                 dictionary=self.dictionary,
                 root_char=self.root_char,
                 regions=self.program.regions,
-                instructions_retired=interpreter.instructions_retired,
+                instructions_retired=(
+                    interpreter.instructions_retired - self._retired_at_start
+                ),
                 total_work=root.work,
                 program_name=self.program.filename,
                 max_depth=(

@@ -47,8 +47,9 @@ class ShadowFrame:
 
 def _compute_ts(inputs, cost: int, depth: int) -> list:
     """Reference merge: ts[d] = max over inputs of times[d] (0 beyond
-    validity) + cost. Bound as ``_cts`` for the compiled engine's call
-    sites; the per-segment generated code expands the same math inline."""
+    validity) + cost. The tree profiler's hooks use it, and it is bound
+    as ``_cts`` for the compiled engine's call sites; the per-segment
+    generated code expands the same math inline."""
     ts = [cost] * depth
     for times, valid in inputs:
         if valid > depth:

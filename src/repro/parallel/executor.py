@@ -58,7 +58,7 @@ MODES = ("fork", "spawn", "inline")
 #: below this trip count a loop entry is not worth dispatching: the
 #: master's masked loop just claims everything (chunk setup would cost
 #: more than it saves, and a 0/1-iteration entry cannot be split anyway)
-DEFAULT_MIN_TRIP = 2
+MIN_TRIP = 2
 
 
 class ParallelAbort(Exception):
@@ -76,11 +76,6 @@ class ParallelOptions:
     entry: str = "main"
     max_instructions: int | None = None
     allow_float_reductions: bool = False
-    #: pre-compile the transformed source in each pool worker before
-    #: timing the parallel run (excluded from measured speedup; see
-    #: docs/PARALLEL.md "Methodology")
-    warmup: bool = True
-    min_trip: int = DEFAULT_MIN_TRIP
 
 
 @dataclass
@@ -245,7 +240,6 @@ class _ExecutorPolicy:
         filename: str,
         engine: str,
         workers: int,
-        min_trip: int,
         max_instructions: int | None,
         stats: dict[int, SiteStats],
     ):
@@ -255,7 +249,6 @@ class _ExecutorPolicy:
         self.filename = filename
         self.engine = engine
         self.workers = workers
-        self.min_trip = max(1, min_trip)
         self.max_instructions = max_instructions
         self.stats = stats
         self.stack: list[_PendingEntry] = []
@@ -267,7 +260,7 @@ class _ExecutorPolicy:
         stats = self.stats[site.index]
         stats.entries += 1
         stats.iterations += trip
-        if trip < self.min_trip or self.workers < 2:
+        if trip < MIN_TRIP or self.workers < 2:
             chunks = [(0, trip)]
         else:
             chunks = partition_iterations(trip, min(self.workers, trip))
@@ -569,16 +562,16 @@ class ParallelExecutor:
             return outcome
 
         transport = self.transport()
-        if options.warmup:
-            try:
-                transport.warm(
-                    transform.source, program.filename, options.engine
-                )
-            except Exception as exc:
-                outcome.fallback = True
-                outcome.fallback_reason = f"pool warmup failed: {exc}"
-                self._count_fallback()
-                return outcome
+        # Pre-compile the transformed source in each pool worker before
+        # timing the parallel run (excluded from measured speedup; see
+        # docs/PARALLEL.md "Methodology").
+        try:
+            transport.warm(transform.source, program.filename, options.engine)
+        except Exception as exc:
+            outcome.fallback = True
+            outcome.fallback_reason = f"pool warmup failed: {exc}"
+            self._count_fallback()
+            return outcome
 
         stats = {
             site.index: SiteStats(spec=site) for site in transform.sites
@@ -590,7 +583,6 @@ class ParallelExecutor:
             filename=program.filename,
             engine=options.engine,
             workers=self.workers,
-            min_trip=options.min_trip,
             max_instructions=options.max_instructions,
             stats=stats,
         )

@@ -244,3 +244,41 @@ class TestProfileReproducibility:
             (e.static_id, e.work, e.cp, e.children)
             for e in profile2.dictionary.entries
         ]
+
+    @pytest.mark.parametrize("max_depth", [None, 2])
+    @pytest.mark.parametrize("engine", ["compiled", "tree"])
+    def test_reused_profiler_keeps_each_run_profile(self, engine, max_depth):
+        # One interpreter and one profiler, run twice: the first profile
+        # must not change under the second run, and the second must equal
+        # a fresh profiler's.
+        import json
+
+        from repro.hcpa.serialize import profile_to_json
+
+        program = compile_source(
+            """
+            int data[32];
+            int f(int n) { int s = 0; for (int i = 0; i < n; i++) s += data[i]; return s; }
+            int main() {
+              for (int i = 0; i < 32; i++) data[i] = i * 3;
+              int t = 0;
+              for (int k = 0; k < 4; k++) {
+                if (k % 2 == 0) t += f(32); else t -= f(16);
+              }
+              return t;
+            }
+            """
+        )
+
+        def dump(profile):
+            return json.dumps(profile_to_json(profile), sort_keys=True)
+
+        profiler = KremlinProfiler(program, max_depth=max_depth)
+        interp = Interpreter(program, observer=profiler, engine=engine)
+        interp.run("main")
+        first = profiler.profile
+        first_dump = dump(first)
+        interp.run("main")
+        fresh, _ = profile_program(program, max_depth=max_depth, engine=engine)
+        assert dump(first) == first_dump
+        assert dump(profiler.profile) == dump(fresh) == first_dump

@@ -204,7 +204,7 @@ class TestUnifiedExecuteOptions(unittest.TestCase):
     def test_parallel_options_drive_execute(self):
         from repro import ParallelOptions
 
-        options = ParallelOptions(workers=1, mode="inline", warmup=False)
+        options = ParallelOptions(workers=1, mode="inline")
         report = KremlinSession(execute_options=options).execute(SOURCE)
         self.assertEqual(
             report.outcome.serial_result.value, sum(range(12))
@@ -217,9 +217,7 @@ class TestParallelPathCompileCache(unittest.TestCase):
         from repro.obs.metrics import collecting_metrics
 
         session = KremlinSession(
-            execute_options=ParallelOptions(
-                workers=2, mode="inline", warmup=False
-            )
+            execute_options=ParallelOptions(workers=2, mode="inline")
         )
         with collecting_metrics() as registry:
             first = session.execute(PARALLEL_SOURCE)

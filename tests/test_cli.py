@@ -69,8 +69,12 @@ class TestKremlinCli:
         report = KremlinSession(
             compile_options=CompileOptions(filename="prog.c")
         ).analyze(TRACKING_LITE)
-        top = report.plan[0].static_id
-        assert main([source_file, f"--exclude={top}"]) == 0
+        top = report.plan[0]
+        assert top.location in first
+        assert main([source_file, f"--exclude={top.static_id}"]) == 0
+        excluded = capsys.readouterr().out
+        assert f"{len(report.plan) - 1} regions" in excluded
+        assert top.location not in excluded
 
     def test_engine_flag_accepts_each_engine(self, source_file, capsys):
         for engine in ("compiled", "tree"):
