@@ -19,11 +19,13 @@ lanes so the 20% gate never flaps on cache state:
   performs zero codegen.
 
 The cache lives in a harness-private temporary directory, so a
-developer's ``~/.cache/kremlin`` never leaks into the measurements. The
-interpreters are then run ``--runs`` times each — interleaved round-robin
-across engines so host load spikes hit every engine equally — and the
-best run per engine is kept (the profiler resets its per-run state in
-``on_run_start``, so repeated runs are equivalent).
+developer's ``~/.cache/kremlin`` never leaks into the measurements. Each
+engine then runs ``--runs`` times — interleaved round-robin across
+engines so host load spikes hit every engine equally — and the best run
+per engine is kept. Every repetition runs on a freshly prepared
+interpreter, with the preparation outside the timer: an interpreter's
+retired-instruction count is cumulative across its runs, so a single
+run's count is what ``instructions_retired`` and the instr/s rates use.
 
 Usage::
 
@@ -85,22 +87,22 @@ def _measure_mode(program, make_program, mode: str, runs: int) -> dict:
     runs are then interleaved round-robin across engines (rather than all
     of one engine's runs back-to-back) so a transient load spike on the
     host penalizes every engine equally and the best-of-``runs`` speedup
-    *ratios* stay stable on noisy machines.
+    *ratios* stay stable on noisy machines. Each run gets its own
+    interpreter, prepared before the timer starts.
     """
     row: dict = {}
-    interps: dict[str, Interpreter] = {}
     for engine in ENGINES:
-        interp, cold_seconds = _prepare_seconds(program, engine, mode)
+        _, cold_seconds = _prepare_seconds(program, engine, mode)
         _, warm_seconds = _prepare_seconds(make_program(), engine, mode)
-        interps[engine] = interp
         row[f"{engine}_codegen_cold_seconds"] = cold_seconds
         row[f"{engine}_codegen_warm_seconds"] = warm_seconds
     best = {engine: float("inf") for engine in ENGINES}
     retired = 0
     for _ in range(runs):
         for engine in ENGINES:
+            interp, _ = _prepare_seconds(program, engine, mode)
             started = time.perf_counter()
-            result = interps[engine].run("main")
+            result = interp.run("main")
             elapsed = time.perf_counter() - started
             if elapsed < best[engine]:
                 best[engine] = elapsed

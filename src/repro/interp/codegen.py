@@ -23,14 +23,15 @@ Two flavors share the structurer and the statement generators:
   vectors stay symbolic — a const floor plus per-source offsets over the
   segment's resolved shadow entries — and only materialize when stored
   past a flush point. Dead shadow stores are elided by block liveness,
-  consumed (dominated) events are skipped in the region fold, and the
-  entry-resolution cache survives region boundaries it provably cannot
-  invalidate. All of it is value-exact: serialized profiles stay
-  bit-identical to the tree engine's (the differential suite, fuzz
-  matrix, and codegen-smoke CI job enforce it). Quickening is disabled in
-  this flavor: every register write also writes its shadow. With metrics
-  on, the only difference in the generated source is one counter
-  increment line per counted quantity at each segment flush.
+  consumed (dominated) events are skipped in the region fold, entries
+  resolve by a backward scan that prefix-closed validity stops at the
+  first matching tag, and folds raise vectors in place. All of it is
+  value-exact: serialized profiles stay bit-identical to the tree
+  engine's (the differential suite, fuzz matrix, and codegen-smoke CI
+  job enforce it). Quickening is disabled in this flavor: every register
+  write also writes its shadow. With metrics on, the only difference in
+  the generated source is one counter increment line per counted
+  quantity at each segment flush.
 
 Structuring is best-effort with hard safety rails: reducible CFGs from the
 MiniC lowerer structure exactly (branch joins come from the postdominator
@@ -78,6 +79,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.types import FLOAT, INT, ArrayType
 from repro.ir.values import Constant, GlobalRef, Register, StringConst
+from repro.kremlib.shadow import _UNLIMITED_DEPTH
 
 _PAD = "    "
 
@@ -1246,10 +1248,11 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         return src
 
     def _entry_source(self, lines, expr: str) -> _SymSource:
-        """Resolve entry ``expr`` once into numbered locals: statement-level
-        :func:`~repro.kremlib.shadow.resolve_entry` against the current
-        tags, memoized in ``prefix_memo`` (see _gen_region_exit for the
-        high-water upkeep)."""
+        """Resolve entry ``expr`` once into numbered locals: the valid
+        prefix of :func:`~repro.kremlib.shadow.resolve_entry`, clamped to
+        the tracked depth. Validity is prefix-closed, so the first
+        matching tag found scanning down from ``min(len(times), _dp)``
+        ends the scan — usually at once."""
         self._sym += 1
         n = self._sym
         e, tm, vl = f"_e{n}", f"_tm{n}", f"_vl{n}"
@@ -1257,27 +1260,12 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             f"{e} = {expr}",
             f"if {e} is not None:",
             f"    {tm}, _tg = {e}",
-            "    if _tg is _cu:",
-            f"        {vl} = len({tm})",
-            f"        if {vl} > _dp:",
-            f"            {vl} = _dp",
-            "    else:",
-            f"        {vl} = prefix_memo.get(_tg, -1)",
-            f"        if {vl} < 0:",
-            f"            {vl} = len(_tg)",
-            f"            if len(_cu) < {vl}:",
-            f"                {vl} = len(_cu)",
-            "            _k = 0",
-            f"            while _k < {vl} and _tg[_k] == _cu[_k]:",
-            "                _k += 1",
-            f"            {vl} = _k",
-            f"            prefix_memo[_tg] = {vl}",
-            f"            if {vl} > memo_high[0]:",
-            f"                memo_high[0] = {vl}",
-            f"        if len({tm}) < {vl}:",
-            f"            {vl} = len({tm})",
-            f"        if {vl} > _dp:",
-            f"            {vl} = _dp",
+            f"    {vl} = len({tm})",
+            f"    if {vl} > _dp:",
+            f"        {vl} = _dp",
+            "    if _tg is not _cu:",
+            f"        while {vl} and _tg[{vl} - 1] != _cu[{vl} - 1]:",
+            f"            {vl} -= 1",
         ]
         return _SymSource("entry", tm, vl, f"{e} is not None")
 
@@ -1289,17 +1277,21 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             )
         return self._ctrl_source
 
-    # Region bodies (the profiler's on_region_enter/on_region_exit). The
-    # resolution memo maps a tags tuple to its common-prefix length with
-    # the current tags. A region ENTER preserves every cached length
-    # exactly — the appended instance id is freshly allocated, so no
-    # cached tag can match it — and an EXIT only invalidates entries whose
-    # cached prefix overshoots the popped tag path. memo_high[0] tracks
-    # the memo's prefix high-water mark, so loop-level exits (the hot
-    # case: every cached prefix stops at or above the loop tag) skip the
-    # clear.
+    # Region bodies (the profiler's on_region_enter/on_region_exit). With
+    # the depth window unlimited every region is tracked, so the window
+    # checks fold away: the tracked depth is the stack height.
     def _gen_region_enter(self, lines, static_id) -> None:
         maxd = self._max_depth
+        if maxd == _UNLIMITED_DEPTH:
+            lines += [
+                f"_rg = _ActiveRegion({static_id}, prof._next_instance, True)",
+                "prof._next_instance += 1",
+                "stack.append(_rg)",
+                "prof.tags += (_rg.instance,)",
+                "prof.tracked_depth = len(stack)",
+                "cps.append(0)",
+            ]
+            return
         lines += [
             f"_tk = len(stack) < {maxd}",
             f"_rg = _ActiveRegion({static_id}, prof._next_instance, _tk)",
@@ -1325,13 +1317,22 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             "    raise ProfilerError(",
             f"        'unbalanced regions: exiting #{static_id} but '",
             "        '#%d is on top' % _rg.static_id)",
-            "_tg = prof.tags[:-1]",
-            "prof.tags = _tg",
-            "_td = len(stack)",
-            f"if _td > {maxd}:",
-            f"    _td = {maxd}",
-            "prof.tracked_depth = _td",
-            "_cp = cps.pop() if _rg.tracked else _rg.work",
+            "prof.tags = prof.tags[:-1]",
+        ]
+        if maxd == _UNLIMITED_DEPTH:
+            lines += [
+                "prof.tracked_depth = len(stack)",
+                "_cp = cps.pop()",
+            ]
+        else:
+            lines += [
+                "_td = len(stack)",
+                f"if _td > {maxd}:",
+                f"    _td = {maxd}",
+                "prof.tracked_depth = _td",
+                "_cp = cps.pop() if _rg.tracked else _rg.work",
+            ]
+        lines += [
             "if _cp > _rg.work:",
             "    _cp = _rg.work",
             "_c = prof.dictionary.intern(_rg.static_id, _rg.work, _cp,",
@@ -1342,9 +1343,6 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             "    _pr.children[_c] = _pr.children.get(_c, 0) + 1",
             "else:",
             "    prof.root_char = _c",
-            "if memo_high[0] > len(_tg):",
-            "    prefix_memo.clear()",
-            "    memo_high[0] = 0",
         ]
 
     def _materialize(self, lines, ts: _SymTS) -> str:
@@ -1402,22 +1400,19 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         return tv
 
     def _fold_source(self, lines, src, off, target, pad) -> None:
-        term = f"_t + {off}" if off else "_t"
-        if src.kind == "list":
-            lines.append(
-                pad + f"{target}[:] = [_c if _c > {term} else {term} "
-                f"for _c, _t in zip({target}, {src.tm})]"
-            )
-            return
-        stmt = (
-            f"{target}[:{src.vl}] = [_c if _c > {term} else {term} "
-            f"for _c, _t in zip({target}, {src.tm}[:{src.vl}])]"
-        )
+        """Raise ``target`` in place to ``src + off`` over the source's
+        valid prefix. The index is ``_q``: ``_d`` is the call depth."""
+        term = f"{src.tm}[_q] + {off}" if off else f"{src.tm}[_q]"
+        bound = "_dp" if src.kind == "list" else src.vl
         if src.guard is not None:
             lines.append(pad + f"if {src.guard}:")
-            lines.append(pad + _PAD + stmt)
-        else:
-            lines.append(pad + stmt)
+            pad += _PAD
+        lines += [
+            pad + f"for _q in range({bound}):",
+            pad + f"    _t = {term}",
+            pad + f"    if _t > {target}[_q]:",
+            pad + f"        {target}[_q] = _t",
+        ]
 
     def _count_segment(self, lines) -> None:
         """Metrics: the segment's operand counters, as the tree profiler's
@@ -1485,10 +1480,11 @@ class _FusedFunctionEmitter(_FunctionEmitter):
                     continue  # already folded through a materialized event
                 self._fold_source(lines, src, off, "cps", _PAD)
             if fold_const > conc_const:
-                lines.append(
-                    f"    cps[:_dp] = [_c if _c > {fold_const} "
-                    f"else {fold_const} for _c in cps[:_dp]]"
-                )
+                lines += [
+                    "    for _q in range(_dp):",
+                    f"        if cps[_q] < {fold_const}:",
+                    f"            cps[_q] = {fold_const}",
+                ]
         self._seg_reset()
 
     def _skip_instr(self, instr) -> bool:

@@ -77,7 +77,7 @@ class CompiledEngine:
             "abs": abs,
             "isinstance": isinstance,
             "max": max,
-            "zip": zip,
+            "range": range,
             "id": id,
             "tuple": tuple,
             "sorted": sorted,
@@ -106,8 +106,6 @@ class CompiledEngine:
                 {
                     "stack": observer.stack,
                     "cps": observer.cps,
-                    "prefix_memo": observer.prefix_memo,
-                    "memo_high": observer.memo_high,
                     "mem_shadow": observer.mem_shadow,
                     "prof": observer,
                     "_ActiveRegion": _ActiveRegion,

@@ -31,6 +31,7 @@ from repro.instrument.compile import CompiledProgram
 from repro.interp.interpreter import ExecutionObserver, Interpreter, RunResult
 from repro.ir.values import Register
 from repro.kremlib.shadow import (
+    _UNLIMITED_DEPTH,
     ShadowFrame,
     _compute_ts,
     make_cell_table,
@@ -38,8 +39,6 @@ from repro.kremlib.shadow import (
 )
 from repro.obs.metrics import get_metrics, metrics_enabled
 from repro.obs.trace import get_tracer
-
-_UNLIMITED_DEPTH = 1 << 30
 
 
 class _ActiveRegion:
@@ -64,7 +63,9 @@ class KremlinProfiler(ExecutionObserver):
     directly: the tree engine through the hooks below, the compiled
     engine's fused code through the same objects bound into its module
     environment. The mutable containers are therefore reset in place
-    (:meth:`on_run_start`), never rebound.
+    (:meth:`on_run_start`), never rebound. The fused code keeps no state
+    of its own: it resolves entries against ``tags`` by a backward scan
+    (validity is prefix-closed, see :mod:`repro.kremlib.shadow`).
     """
 
     # The compiled engine bakes this observer's hook bodies into its
@@ -86,12 +87,6 @@ class KremlinProfiler(ExecutionObserver):
         self.tracked_depth = 0
         self.cps: list[int] = []
         self._next_instance = 1
-        # The fused code's resolution memo: tags tuple -> common-prefix
-        # length with the current tags. memo_high[0] is the longest cached
-        # prefix; a region exit clears the memo only when the popped tag
-        # path is shorter than it.
-        self.prefix_memo: dict[tuple, int] = {}
-        self.memo_high: list[int] = [0]
 
         # Two-level shadow memory: storage id -> second-level cell table.
         # Array storages get array-backed tables (one slot per element,
@@ -361,8 +356,6 @@ class KremlinProfiler(ExecutionObserver):
         self.tags = ()
         self.tracked_depth = 0
         self.cps.clear()
-        self.prefix_memo.clear()
-        self.memo_high[0] = 0
         self.mem_shadow.clear()
         self._pending_return = None
         self._finished_profile = None

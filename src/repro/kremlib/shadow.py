@@ -16,6 +16,10 @@ rule that data written by an exited sibling region instance "is discarded
 
 from __future__ import annotations
 
+#: depth-window sentinel: a profiler built with no ``max_depth`` tracks
+#: every region level (the fused emitter folds the window checks away)
+_UNLIMITED_DEPTH = 1 << 30
+
 
 def make_cell_table(count: int) -> list:
     """Array-backed second-level shadow table for one array storage.
