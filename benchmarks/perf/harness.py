@@ -19,13 +19,15 @@ lanes so the 20% gate never flaps on cache state:
   performs zero codegen.
 
 The cache lives in a harness-private temporary directory, so a
-developer's ``~/.cache/kremlin`` never leaks into the measurements. Each
-engine then runs ``--runs`` times — interleaved round-robin across
-engines so host load spikes hit every engine equally — and the best run
-per engine is kept. Every repetition runs on a freshly prepared
-interpreter, with the preparation outside the timer: an interpreter's
-retired-instruction count is cumulative across its runs, so a single
-run's count is what ``instructions_retired`` and the instr/s rates use.
+developer's ``~/.cache/kremlin`` never leaks into the measurements. The
+cold lane's interpreter is then reused for every timed run of its
+engine: each run starts from fresh run state, so a run's
+``instructions_retired`` (what the instr/s rates use) is one run's
+count. Each engine takes ``--runs`` samples, interleaved round-robin
+across engines so host load spikes hit every engine equally, and keeps
+its best. A sample repeats the run until it has lasted at least
+:data:`SAMPLE_SECONDS` and records the time per run, so a ~10 ms
+compiled run is not timed by a single reading of a noisy clock.
 
 Usage::
 
@@ -66,6 +68,8 @@ BENCHMARKS = ("ep", "is", "mg")
 ENGINES = ("tree", "compiled")
 FAST_ENGINES = ("compiled",)
 MODES = ("plain", "hcpa")
+#: minimum wall-clock length of one timing sample
+SAMPLE_SECONDS = 0.2
 
 
 def _prepare_seconds(program, engine: str, mode: str):
@@ -77,22 +81,35 @@ def _prepare_seconds(program, engine: str, mode: str):
     return interp, time.perf_counter() - started
 
 
+def _sample(interp):
+    """Run ``interp`` repeatedly for at least :data:`SAMPLE_SECONDS`;
+    returns (seconds per run, the last run's result)."""
+    repeats = 0
+    started = time.perf_counter()
+    while True:
+        result = interp.run("main")
+        repeats += 1
+        elapsed = time.perf_counter() - started
+        if elapsed >= SAMPLE_SECONDS:
+            return elapsed / repeats, result
+
+
 def _measure_mode(program, make_program, mode: str, runs: int) -> dict:
     """Measure every engine for one (benchmark, mode) combination.
 
     Preparation is timed per engine in two lanes: ``cold`` against the
     empty persistent cache (genuine codegen plus the cache write) and
     ``warm`` on a *fresh program object* from ``make_program()`` — no
-    in-memory codegen units — which is the warm-restart path. Steady-state
-    runs are then interleaved round-robin across engines (rather than all
-    of one engine's runs back-to-back) so a transient load spike on the
-    host penalizes every engine equally and the best-of-``runs`` speedup
-    *ratios* stay stable on noisy machines. Each run gets its own
-    interpreter, prepared before the timer starts.
+    in-memory codegen units — which is the warm-restart path. The cold
+    lane's interpreter then takes ``runs`` samples per engine,
+    interleaved round-robin across engines (rather than all of one
+    engine's samples back-to-back) so a transient load spike on the host
+    penalizes every engine alike; each engine keeps its best sample.
     """
     row: dict = {}
+    interps = {}
     for engine in ENGINES:
-        _, cold_seconds = _prepare_seconds(program, engine, mode)
+        interps[engine], cold_seconds = _prepare_seconds(program, engine, mode)
         _, warm_seconds = _prepare_seconds(make_program(), engine, mode)
         row[f"{engine}_codegen_cold_seconds"] = cold_seconds
         row[f"{engine}_codegen_warm_seconds"] = warm_seconds
@@ -100,12 +117,8 @@ def _measure_mode(program, make_program, mode: str, runs: int) -> dict:
     retired = 0
     for _ in range(runs):
         for engine in ENGINES:
-            interp, _ = _prepare_seconds(program, engine, mode)
-            started = time.perf_counter()
-            result = interp.run("main")
-            elapsed = time.perf_counter() - started
-            if elapsed < best[engine]:
-                best[engine] = elapsed
+            seconds, result = _sample(interps[engine])
+            best[engine] = min(best[engine], seconds)
             retired = result.instructions_retired
     for engine in ENGINES:
         row[f"{engine}_seconds"] = best[engine]
@@ -203,7 +216,10 @@ def main(argv=None) -> int:
         help="fail (exit 1) if a speedup regresses >20%% vs the baseline",
     )
     parser.add_argument(
-        "--runs", type=int, default=3, help="runs per engine (best kept)"
+        "--runs",
+        type=int,
+        default=3,
+        help="timing samples per engine (best kept)",
     )
     parser.add_argument(
         "--tolerance",

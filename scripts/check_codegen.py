@@ -10,9 +10,10 @@ under the compiled engine and asserts, for each one:
    byte-identical to the tree engine's, at unlimited depth and under a
    depth window (``max_depth=2``), with metrics collection off and again
    with it on (the metrics-on fused code must compute the same profile);
-3. one profiler reused for two runs of one interpreter, on each engine,
-   yields the fresh profile byte for byte both times (and the first
-   run's profile is not changed by the second);
+3. the second run of one reused interpreter, plain and under one
+   reused profiler, on each engine, has the fresh run's full signature
+   (value, output, instruction accounting and the serialized profile),
+   and the first run's profile is not changed by the second;
 4. generated code is actually being exercised (the unit cache reports
    codegen activity).
 
@@ -43,40 +44,39 @@ EXAMPLES = [REPO_ROOT / "examples" / "quickstart.c"]
 CONFIGS = [(metrics, depth) for metrics in (False, True) for depth in (None, 2)]
 
 
-def _signature(program, engine: str, max_depth=None) -> tuple:
-    profiler = KremlinProfiler(program, max_depth=max_depth)
-    interp = Interpreter(program, observer=profiler, engine=engine)
-    result = interp.run("main")
-    return (
-        repr(result.value),
-        tuple(result.output),
-        result.instructions_retired,
-        result.total_cost,
-        json.dumps(profile_to_json(profiler.profile), sort_keys=True),
-    )
+def _dump(profile) -> str:
+    return json.dumps(profile_to_json(profile), sort_keys=True)
 
 
-def _reuse_matches(program, engine: str, fresh: str) -> bool:
-    profiler = KremlinProfiler(program)
-    interp = Interpreter(program, observer=profiler, engine=engine)
-    profiles = []
-    for _ in range(2):
-        interp.run("main")
-        profiles.append(profiler.profile)
-    return all(
-        json.dumps(profile_to_json(profile), sort_keys=True) == fresh
-        for profile in profiles
-    )
-
-
-def _plain_signature(program, engine: str) -> tuple:
-    result = Interpreter(program, engine=engine).run("main")
-    return (
+def _result_signature(result, profiler) -> tuple:
+    signature = (
         repr(result.value),
         tuple(result.output),
         result.instructions_retired,
         result.total_cost,
     )
+    if profiler is None:
+        return signature
+    return signature + (_dump(profiler.profile),)
+
+
+def _signature(program, engine: str, max_depth=None, profiled=True) -> tuple:
+    profiler = (
+        KremlinProfiler(program, max_depth=max_depth) if profiled else None
+    )
+    interp = Interpreter(program, observer=profiler, engine=engine)
+    return _result_signature(interp.run("main"), profiler)
+
+
+def _reuse_matches(program, engine: str, profiled: bool, fresh: tuple) -> bool:
+    """Run 2 of one reused interpreter (and profiler) has the fresh
+    signature, and run 1's profile survives run 2 unchanged."""
+    profiler = KremlinProfiler(program) if profiled else None
+    interp = Interpreter(program, observer=profiler, engine=engine)
+    interp.run("main")
+    first = profiler.profile if profiled else None
+    second = _result_signature(interp.run("main"), profiler)
+    return second == fresh and (first is None or _dump(first) == fresh[-1])
 
 
 def main() -> int:
@@ -90,9 +90,8 @@ def main() -> int:
         program = kremlin_cc(path.read_text(), path.name)
         _programs.append(program)
         label = path.name
-        if _plain_signature(program, "tree") != _plain_signature(
-            program, "compiled"
-        ):
+        plain = _signature(program, "tree", profiled=False)
+        if plain != _signature(program, "compiled", profiled=False):
             print(f"codegen-smoke: FAIL {label}: plain run diverged")
             failures += 1
             continue
@@ -108,16 +107,19 @@ def main() -> int:
                 failures += 1
                 break
         else:
-            fresh = _signature(program, "tree")[-1]
+            fresh = {False: plain, True: _signature(program, "tree")}
             reused = [
-                engine
+                f"{engine} {'profiled' if profiled else 'plain'}"
                 for engine in ("tree", "compiled")
-                if not _reuse_matches(program, engine, fresh)
+                for profiled in (False, True)
+                if not _reuse_matches(
+                    program, engine, profiled, fresh[profiled]
+                )
             ]
             if reused:
                 print(
-                    f"codegen-smoke: FAIL {label}: reused profiler diverged "
-                    f"({', '.join(reused)})"
+                    f"codegen-smoke: FAIL {label}: reused interpreter "
+                    f"diverged ({', '.join(reused)})"
                 )
                 failures += 1
             else:

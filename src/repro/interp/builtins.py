@@ -1,8 +1,8 @@
 """Builtin (libc-flavoured) functions available to MiniC programs.
 
 All builtins are deterministic; ``srand``/``rand``/``randf`` use a fixed
-linear congruential generator held in the interpreter so profiled runs are
-reproducible bit-for-bit. Costs are latencies in the machine cost model; see
+linear congruential generator held in the run state, so every run, profiled
+or not, repeats bit-for-bit. Costs are latencies in the machine cost model; see
 :mod:`repro.instrument.costs` for the rest of the table.
 """
 
@@ -48,7 +48,7 @@ def _impl_print(runtime, *args):
             pieces.append(f"{arg:.6g}")
         else:
             pieces.append(str(arg))
-    runtime.output.append(" ".join(pieces))
+    runtime.state.output.append(" ".join(pieces))
     return None
 
 
@@ -76,16 +76,16 @@ def _impl_max(_runtime, a, b):
 
 
 def _impl_srand(runtime, seed):
-    runtime.rng.seed(int(seed))
+    runtime.state.rng.seed(int(seed))
     return None
 
 
 def _impl_rand(runtime):
-    return runtime.rng.next_int()
+    return runtime.state.rng.next_int()
 
 
 def _impl_randf(runtime):
-    return runtime.rng.next_int() / 2147483648.0
+    return runtime.state.rng.next_int() / 2147483648.0
 
 
 def _impl_kremlin_fork(runtime):
@@ -102,7 +102,7 @@ def _impl_kremlin_fork(runtime):
     if policy is not None:
         policy.fork(runtime)
         return None
-    cells = runtime.globals_scalar
+    cells = runtime.state.scalars
     cells["__kremlin_lo"] = 0
     cells["__kremlin_hi"] = int(cells.get("__kremlin_trip", 0))
     return None

@@ -45,11 +45,12 @@ Generated source is **instance-independent**: interpreter-specific objects
 (global array storages, scalar cells, the interpreter itself) are referred
 to by reserved names (``_go_{name}``/``_ga_{name}``/``_gid_{name}``,
 ``cells``, ``interp``) bound into the exec environment by
-:class:`repro.interp.runtime.CompiledEngine` at prepare time. Program-
-scoped objects (spans, string constants, builtin impls) live in the unit's
-``program_env``. Units are therefore cached per ``CompiledProgram`` keyed
-by flavor/budget/depth/metrics — code that mutates the IR must recompile
-from a fresh program, exactly like re-running ``kremlin_cc``.
+:class:`repro.interp.runtime.CompiledEngine`; the run-state names are
+rebound for every run. Program-scoped objects (spans, string constants,
+builtin impls) live in the unit's ``program_env``. Units are therefore
+cached per ``CompiledProgram`` keyed by flavor/budget/depth/metrics —
+code that mutates the IR must recompile from a fresh program, exactly
+like re-running ``kremlin_cc``.
 """
 
 from __future__ import annotations
@@ -1895,9 +1896,10 @@ class CodegenUnit:
 
     ``program_env`` holds program-scoped objects the source references by
     generated name (spans, out-of-line constants, builtin impls).
-    Instance-scoped names (``cells``, ``interp``, ``counts``,
-    ``_go_*``/``_ga_*``/``_gid_*``, profiler state) are bound by
-    :class:`repro.interp.runtime.CompiledEngine` before ``exec``.
+    Instance-scoped names (``interp``, profiler state) are bound by
+    :class:`repro.interp.runtime.CompiledEngine` before ``exec``, and
+    run-scoped ones (``cells``, ``counts``, ``_go_*``/``_ga_*``/
+    ``_gid_*``) before each run.
     """
 
     __slots__ = (

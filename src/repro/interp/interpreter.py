@@ -10,7 +10,8 @@ Memory model:
 * scalars live in virtual registers (per activation frame);
 * arrays are flat Python lists wrapped in :class:`ArrayStorage`, passed by
   reference; shadow analyses key memory state by ``(storage id, index)``;
-* global scalars live in a module-level cell table.
+* global scalars live in a cell table; it, the arrays, output, RNG and
+  counters make up one :class:`RunState`, fresh for every run.
 """
 
 from __future__ import annotations
@@ -98,13 +99,46 @@ class ArrayStorage:
 class Frame:
     """One activation: register file plus an analysis-attachable slot."""
 
-    __slots__ = ("function", "registers", "frame_id", "shadow")
+    __slots__ = ("function", "registers", "shadow")
 
-    def __init__(self, function: Function, frame_id: int):
+    def __init__(self, function: Function):
         self.function = function
         self.registers: list = [None] * function.num_registers
-        self.frame_id = frame_id
         self.shadow = None  # owned by the observer
+
+
+class RunState:
+    """What one run mutates outside its frames: global scalars and
+    arrays, output, the ``rand()`` generator and ``[retired, cost]``.
+
+    Built from the module's initializers, as a binary starts every
+    execution; ``scalars``/``arrays`` overlay a starting state.
+    """
+
+    __slots__ = ("scalars", "arrays", "output", "rng", "counts")
+
+    def __init__(self, module, scalars=None, arrays=None):
+        self.scalars: dict[str, int | float] = {}
+        self.arrays: dict[str, ArrayStorage] = {}
+        for var in module.globals.values():
+            if isinstance(var.type, ArrayType):
+                count = var.type.element_count
+                assert count is not None
+                self.arrays[var.name] = ArrayStorage(
+                    count, var.type.element == INT
+                )
+            elif var.init is not None:
+                self.scalars[var.name] = var.init
+            else:
+                self.scalars[var.name] = 0 if var.type == INT else 0.0
+        if scalars:
+            self.scalars.update(scalars)
+        if arrays:
+            for name, data in arrays.items():
+                self.arrays[name].data[:] = data
+        self.output: list[str] = []
+        self.rng = _LcgState()
+        self.counts = [0, 0]
 
 
 @dataclass
@@ -164,39 +198,8 @@ class Interpreter:
             engine = "tree"
         self.engine = engine
         self._compiled = None
-
-        self.globals_scalar: dict[str, int | float] = {}
-        self.globals_array: dict[str, ArrayStorage] = {}
-        self.output: list[str] = []
-        self.rng = _LcgState()
-        self.instructions_retired = 0
-        self.total_cost = 0
-        self._next_frame_id = 0
-
-        self._init_globals()
-
-    # ------------------------------------------------------------------
-    # Setup
-    # ------------------------------------------------------------------
-
-    def _init_globals(self) -> None:
-        for var in self.module.globals.values():
-            if isinstance(var.type, ArrayType):
-                count = var.type.element_count
-                assert count is not None
-                self.globals_array[var.name] = ArrayStorage(
-                    count, var.type.element == INT
-                )
-            else:
-                default: int | float = 0 if var.type == INT else 0.0
-                if var.init is not None:
-                    default = var.init
-                self.globals_scalar[var.name] = default
-
-    def _new_frame(self, function: Function) -> Frame:
-        frame = Frame(function, self._next_frame_id)
-        self._next_frame_id += 1
-        return frame
+        #: the current (or last) run's state; see :meth:`run`
+        self.state: RunState | None = None
 
     # ------------------------------------------------------------------
     # Value access
@@ -209,10 +212,10 @@ class Interpreter:
             return operand.value
         if type(operand) is GlobalRef:
             # Array globals are passed by reference.
-            storage = self.globals_array.get(operand.name)
+            storage = self.state.arrays.get(operand.name)
             if storage is not None:
                 return storage
-            return self.globals_scalar[operand.name]
+            return self.state.scalars[operand.name]
         if type(operand) is StringConst:
             return operand.value
         raise InterpreterError(f"cannot evaluate operand {operand!r}")
@@ -220,13 +223,6 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-
-    def _compiled_engine(self):
-        if self._compiled is None:
-            from repro.interp.runtime import CompiledEngine
-
-            self._compiled = CompiledEngine(self)
-        return self._compiled
 
     def prepare(self) -> None:
         """Eagerly compile the selected engine's code.
@@ -236,36 +232,56 @@ class Interpreter:
         runs — call this explicitly. No-op for the tree engine.
         """
         if self.engine == "compiled":
-            self._compiled_engine().prepare()
+            if self._compiled is None:
+                from repro.interp.runtime import CompiledEngine
 
-    def run(self, entry: str = "main", args: tuple = ()) -> RunResult:
-        if self.engine == "compiled":
-            return self._compiled_engine().run(entry, args)
-        observer = self.observer
-        if observer is not None:
-            observer.on_run_start(self)
+                self._compiled = CompiledEngine(self)
+            self._compiled.prepare()
+
+    def run(
+        self,
+        entry: str = "main",
+        args: tuple = (),
+        scalars: dict | None = None,
+        arrays: dict | None = None,
+    ) -> RunResult:
+        """Execute ``entry(*args)`` from a fresh :class:`RunState`.
+
+        The entry and its argument count are checked before any observer
+        hook fires, so a rejected call leaves the last run's state and
+        profile intact. The state stays readable as :attr:`state`.
+        """
         function = self.module.function(entry)
-        frame = self._new_frame(function)
         if len(args) != len(function.params):
             raise InterpreterError(
                 f"{entry}() expects {len(function.params)} arguments, got {len(args)}"
             )
-        for param, arg in zip(function.params, args):
-            frame.registers[param.index] = arg
-        value = self._run_function(frame, depth=0)
+        self.prepare()
+        state = self.state = RunState(self.module, scalars, arrays)
+        observer = self.observer
+        if observer is not None:
+            observer.on_run_start(self)
+        if self.engine == "compiled":
+            value = self._compiled.run(function, args, state)
+        else:
+            frame = Frame(function)
+            for param, arg in zip(function.params, args):
+                frame.registers[param.index] = arg
+            value = self._run_function(frame, depth=0)
         if observer is not None:
             observer.on_run_end(self)
         return RunResult(
             value=value,
-            output=list(self.output),
-            instructions_retired=self.instructions_retired,
-            total_cost=self.total_cost,
+            output=state.output,
+            instructions_retired=state.counts[0],
+            total_cost=state.counts[1],
         )
 
     def _run_function(self, frame: Frame, depth: int):
         if depth > _MAX_CALL_DEPTH:
             raise InterpreterError("call stack exhausted (runaway recursion?)")
         observer = self.observer
+        counts = self.state.counts
         block = frame.function.entry
         registers = frame.registers
         retired = 0
@@ -330,7 +346,7 @@ class Interpreter:
                     else:
                         name = instr.mem.name  # type: ignore[union-attr]
                         var = self.module.globals[name]
-                        self.globals_scalar[name] = (
+                        self.state.scalars[name] = (
                             int(value) if var.type == INT else float(value)
                         )
                         if observer is not None:
@@ -361,7 +377,7 @@ class Interpreter:
                             observer.on_builtin(instr, frame)
                     else:
                         callee = self.module.function(instr.callee)
-                        callee_frame = self._new_frame(callee)
+                        callee_frame = Frame(callee)
                         callee_registers = callee_frame.registers
                         for param, arg in zip(callee.params, instr.args):
                             callee_registers[param.index] = self._value(arg, frame)
@@ -403,10 +419,10 @@ class Interpreter:
                     self.observer.on_branch(terminator, frame, block)
                 block = terminator.then_block if cond != 0 else terminator.else_block
             elif cls is Ret:
-                self.instructions_retired += retired
-                self.total_cost += cost_total
+                counts[0] += retired
+                counts[1] += cost_total
                 if self.max_instructions is not None and (
-                    self.instructions_retired > self.max_instructions
+                    counts[0] > self.max_instructions
                 ):
                     raise InterpreterError("instruction budget exceeded")
                 value = (
@@ -430,7 +446,7 @@ class Interpreter:
 
             if self.max_instructions is not None:
                 # Only check at block boundaries: cheap and sufficient.
-                if self.instructions_retired + retired > self.max_instructions:
+                if counts[0] + retired > self.max_instructions:
                     raise InterpreterError("instruction budget exceeded")
 
     def _exec_builtin(self, instr: Call, frame: Frame) -> None:

@@ -1,13 +1,17 @@
 """Runtime support for the AOT compiled engine.
 
 :class:`CompiledEngine` owns one interpreter instance's bindings of the
-cached :class:`~repro.interp.codegen.CodegenUnit`: it builds the exec
-environment (instance-scoped names like ``cells``/``interp``/``counts``
-and the ``_go_*``/``_ga_*``/``_gid_*`` global-array bindings; for the
-fused flavor, the profiler itself and its per-run state containers),
-executes the unit's code object to materialize the generated functions,
-and drives entry-point calls through the observer's run lifecycle
-(``on_run_start``/``on_run_end``).
+cached :class:`~repro.interp.codegen.CodegenUnit`. ``prepare()`` builds
+the exec environment (``interp``, the program-scoped names and, for the
+fused flavor, the profiler itself and its run-state containers) and
+executes the unit's code object to materialize the generated functions.
+``run()`` only executes: it rebinds the per-run names (``cells``,
+``counts`` and the ``_go_*``/``_ga_*``/``_gid_*`` global-array
+bindings) to the run's :class:`~repro.interp.interpreter.RunState` and
+calls the entry function. Generated code reads those names as module
+globals at call time, so rebinding them is all a fresh run needs; the
+run lifecycle itself (state, observer hooks, result) is
+:meth:`Interpreter.run`'s.
 
 Code objects are compiled once per program (cached on the program by
 :func:`~repro.interp.codegen.codegen_unit`); per-interpreter preparation
@@ -16,11 +20,9 @@ is just a dict build plus ``exec`` of precompiled code.
 
 from __future__ import annotations
 
-import time
-
 from repro.interp.codegen import codegen_unit
 from repro.interp.errors import InterpreterError
-from repro.interp.interpreter import ArrayStorage, RunResult
+from repro.interp.interpreter import ArrayStorage
 
 
 def _slow_index(index, size: int, span) -> int:
@@ -39,15 +41,9 @@ class CompiledEngine:
 
     def __init__(self, interp):
         self.interp = interp
-        # Shared mutable [instructions_retired, total_cost]; generated code
-        # flushes into it at returns (plain) or block boundaries (fused).
-        self.counts = [interp.instructions_retired, interp.total_cost]
         self._fns: dict | None = None
         self._env: dict | None = None
         self.unit = None
-        #: wall-clock seconds spent in prepare() (codegen + env binding);
-        #: near-zero on unit-cache hits. The bench harness records it.
-        self.codegen_seconds = 0.0
         self._frames_cell = None
 
     # ------------------------------------------------------------------
@@ -58,12 +54,9 @@ class CompiledEngine:
         """Bind the cached codegen unit to this interpreter (idempotent)."""
         if self._fns is not None:
             return
-        start = time.perf_counter()
         interp = self.interp
         observer = interp.observer
         env: dict = {
-            "counts": self.counts,
-            "cells": interp.globals_scalar,
             "interp": interp,
             "InterpreterError": InterpreterError,
             "ArrayStorage": ArrayStorage,
@@ -133,11 +126,6 @@ class CompiledEngine:
                     }
                 )
         env.update(unit.program_env)
-        for name in unit.array_globals:
-            storage = interp.globals_array[name]
-            env[f"_go_{name}"] = storage
-            env[f"_ga_{name}"] = storage.data
-            env[f"_gid_{name}"] = id(storage)
         exec(unit.code, env)  # noqa: S102 - our own generated module
         self.unit = unit
         self._env = env
@@ -145,43 +133,26 @@ class CompiledEngine:
             name: env[f"_mc_{name}"]
             for name in interp.module.functions
         }
-        self.codegen_seconds = time.perf_counter() - start
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
-    def run(self, entry: str, args: tuple) -> RunResult:
-        interp = self.interp
-        observer = interp.observer
-        self.prepare()
-        counts = self.counts
-        counts[0] = interp.instructions_retired
-        counts[1] = interp.total_cost
-        if observer is not None:
-            observer.on_run_start(interp)
-            if self._frames_cell is not None:
-                self._frames_cell[0] += 1
-        function = interp.module.function(entry)
-        fn = self._fns[entry]
-        if len(args) != len(function.params):
-            raise InterpreterError(
-                f"{entry}() expects {len(function.params)} arguments, "
-                f"got {len(args)}"
-            )
-        if observer is None:
-            value = fn(*args, 0)
-        else:
-            # Entry-point shadow parameters start unwritten, exactly like
-            # the tree profiler's fresh shadow frame.
-            value = fn(*args, *([None] * len(function.params)), 0)
-        interp.instructions_retired = counts[0]
-        interp.total_cost = counts[1]
-        if observer is not None:
-            observer.on_run_end(interp)
-        return RunResult(
-            value=value,
-            output=list(interp.output),
-            instructions_retired=interp.instructions_retired,
-            total_cost=interp.total_cost,
-        )
+    def run(self, function, args: tuple, state):
+        """Call the generated ``function`` on ``state``; returns its value."""
+        env = self._env
+        env["cells"] = state.scalars
+        env["counts"] = state.counts
+        for name in self.unit.array_globals:
+            storage = state.arrays[name]
+            env[f"_go_{name}"] = storage
+            env[f"_ga_{name}"] = storage.data
+            env[f"_gid_{name}"] = id(storage)
+        fn = self._fns[function.name]
+        if self.interp.observer is None:
+            return fn(*args, 0)
+        if self._frames_cell is not None:
+            self._frames_cell[0] += 1
+        # Entry-point shadow parameters start unwritten, exactly like the
+        # tree profiler's fresh shadow frame.
+        return fn(*args, *([None] * len(function.params)), 0)

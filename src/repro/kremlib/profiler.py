@@ -96,8 +96,6 @@ class KremlinProfiler(ExecutionObserver):
 
         self._pending_return: list | None = None
         self._finished_profile: ParallelismProfile | None = None
-        # The interpreter's retired count is cumulative across runs.
-        self._retired_at_start = 0
 
         # Observability: the enabled flag is snapshotted at construction
         # (same gating contract as the compiled engine's codegen), and the
@@ -359,7 +357,6 @@ class KremlinProfiler(ExecutionObserver):
         self.mem_shadow.clear()
         self._pending_return = None
         self._finished_profile = None
-        self._retired_at_start = interpreter.instructions_retired
 
     def on_run_end(self, interpreter) -> None:
         if self.stack:
@@ -374,9 +371,7 @@ class KremlinProfiler(ExecutionObserver):
                 dictionary=self.dictionary,
                 root_char=self.root_char,
                 regions=self.program.regions,
-                instructions_retired=(
-                    interpreter.instructions_retired - self._retired_at_start
-                ),
+                instructions_retired=interpreter.state.counts[0],
                 total_work=root.work,
                 program_name=self.program.filename,
                 max_depth=(

@@ -180,8 +180,8 @@ class _InlineTransport:
     def submit(self, task: ChunkTask):
         return _ImmediateFuture(run_chunk, task)
 
-    def warm(self, source: str, filename: str, engine: str = "compiled") -> None:
-        warm_worker(source, filename, engine)
+    def warm(self, source, filename, engine, max_instructions) -> None:
+        warm_worker(source, filename, engine, max_instructions)
 
     def close(self) -> None:
         pass
@@ -200,11 +200,13 @@ class _PoolTransport:
     def submit(self, task: ChunkTask):
         return self.pool.submit(run_chunk, task)
 
-    def warm(self, source: str, filename: str, engine: str = "compiled") -> None:
+    def warm(self, source, filename, engine, max_instructions) -> None:
         # best-effort: one warmup task per worker slot so most workers
         # compile (and codegen) the program before the timed run
         futures = [
-            self.pool.submit(warm_worker, source, filename, engine)
+            self.pool.submit(
+                warm_worker, source, filename, engine, max_instructions
+            )
             for _ in range(self.workers)
         ]
         for future in futures:
@@ -254,7 +256,7 @@ class _ExecutorPolicy:
         self.stack: list[_PendingEntry] = []
 
     def fork(self, interp) -> None:
-        cells = interp.globals_scalar
+        cells = interp.state.scalars
         site = self.sites[int(cells["__kremlin_site"])]
         trip = int(cells["__kremlin_trip"])
         stats = self.stats[site.index]
@@ -266,7 +268,7 @@ class _ExecutorPolicy:
             chunks = partition_iterations(trip, min(self.workers, trip))
         snapshot_arrays = {
             name: list(storage.data)
-            for name, storage in interp.globals_array.items()
+            for name, storage in interp.state.arrays.items()
         }
         futures: list = []
         ship_scalars = dict(cells)
@@ -326,7 +328,7 @@ class _ExecutorPolicy:
             end,
             site=entry.site.region_name,
             chunks=len(entry.chunks),
-            trip=int(interp.globals_scalar.get("__kremlin_trip", 0)),
+            trip=int(interp.state.scalars.get("__kremlin_trip", 0)),
         )
         for outcome in outcomes:
             stats.worker_seconds += outcome.seconds
@@ -359,7 +361,7 @@ class _ExecutorPolicy:
             spec.name: spec.op for spec in entry.site.reductions
         }
         applied: dict[tuple[str, int], str] = {}
-        for name, storage in interp.globals_array.items():
+        for name, storage in interp.state.arrays.items():
             snapshot = entry.snapshot_arrays[name]
             data = storage.data
             for index in range(len(data)):
@@ -369,7 +371,7 @@ class _ExecutorPolicy:
         for outcome in outcomes:
             for name, values in outcome.arrays.items():
                 snapshot = entry.snapshot_arrays[name]
-                storage = interp.globals_array[name]
+                storage = interp.state.arrays[name]
                 for index, value in enumerate(values):
                     rendered = repr(value)
                     if rendered == repr(snapshot[index]):
@@ -396,8 +398,8 @@ class _ExecutorPolicy:
                     f"unexpected worker write to scalar '{name}'"
                 )
         for name, op in reduction_ops.items():
-            interp.globals_scalar[name] = combine_partials(
-                op, interp.globals_scalar[name], partials[name]
+            interp.state.scalars[name] = combine_partials(
+                op, interp.state.scalars[name], partials[name]
             )
 
 
@@ -409,12 +411,12 @@ class _ExecutorPolicy:
 def _state_snapshot(interp: Interpreter) -> tuple[dict, dict]:
     scalars = {
         name: value
-        for name, value in interp.globals_scalar.items()
+        for name, value in interp.state.scalars.items()
         if not name.startswith(PREFIX)
     }
     arrays = {
         name: list(storage.data)
-        for name, storage in interp.globals_array.items()
+        for name, storage in interp.state.arrays.items()
         if not name.startswith(PREFIX)
     }
     return scalars, arrays
@@ -566,7 +568,12 @@ class ParallelExecutor:
         # timing the parallel run (excluded from measured speedup; see
         # docs/PARALLEL.md "Methodology").
         try:
-            transport.warm(transform.source, program.filename, options.engine)
+            transport.warm(
+                transform.source,
+                program.filename,
+                options.engine,
+                options.max_instructions,
+            )
         except Exception as exc:
             outcome.fallback = True
             outcome.fallback_reason = f"pool warmup failed: {exc}"

@@ -2,10 +2,11 @@
 
 The payload crossing the process boundary is deliberately plain data
 (dicts, lists, numbers): the transformed *source text* plus the global
-state to install.  Each worker process compiles the source once — keyed
-by content hash — and the compiled engine's generated code units live on
-that cached program, so successive chunks of the same program skip
-codegen entirely and pay only a fresh interpreter + state install.
+state the chunk starts from.  Each worker process keeps one prepared
+interpreter per (source hash, engine, budget); every
+:meth:`~repro.interp.interpreter.Interpreter.run` starts from fresh run
+state, so successive chunks of the same program reuse it, skip compile
+and codegen entirely, and pass their shipped globals into ``run``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from repro.instrument.compile import CompiledProgram, kremlin_cc
+from repro.instrument.compile import kremlin_cc
 from repro.interp.interpreter import Interpreter
 
 
@@ -48,67 +49,70 @@ class ChunkOutcome:
     pid: int
 
 
-#: per-process compiled-program cache (content hash -> program); workers
-#: are reused across chunks, so every chunk after the first is codegen-free
-_PROGRAM_CACHE: dict[str, CompiledProgram] = {}
+#: per-process prepared interpreters, keyed by (source hash, engine,
+#: budget); workers are reused across chunks, so every chunk after the
+#: first is compile- and codegen-free
+_PROGRAM_CACHE: dict[tuple, Interpreter] = {}
 
 
-def _compile_cached(source: str, filename: str) -> CompiledProgram:
-    key = hashlib.sha256(source.encode()).hexdigest()
-    program = _PROGRAM_CACHE.get(key)
-    if program is None:
+def _prepared(
+    source: str, filename: str, engine: str, max_instructions: int | None
+) -> Interpreter:
+    digest = hashlib.sha256(source.encode()).hexdigest()
+    key = (digest, engine, max_instructions)
+    interp = _PROGRAM_CACHE.get(key)
+    if interp is None:
         # the transformed program was already analyzed pre-transform;
         # workers only execute
         program = kremlin_cc(source, filename, analyze=False)
-        _PROGRAM_CACHE[key] = program
-    return program
+        interp = Interpreter(
+            program, engine=engine, max_instructions=max_instructions
+        )
+        interp.prepare()
+        _PROGRAM_CACHE[key] = interp
+    return interp
 
 
-def warm_worker(source: str, filename: str, engine: str = "compiled") -> int:
-    """Pre-compile ``source`` in this worker (pool warmup); returns pid.
-
-    ``prepare()`` matters as much as the parse: the engine's code units
-    cache on the program object, so warming them here keeps codegen out
-    of the first timed chunk.
-    """
-    program = _compile_cached(source, filename)
-    Interpreter(program, engine=engine).prepare()
+def warm_worker(
+    source: str,
+    filename: str,
+    engine: str = "compiled",
+    max_instructions: int | None = None,
+) -> int:
+    """Compile and prepare ``source`` in this worker (pool warmup), so
+    the first timed chunk pays no codegen; returns the pid."""
+    _prepared(source, filename, engine, max_instructions)
     return os.getpid()
 
 
 def run_chunk(task: ChunkTask) -> ChunkOutcome:
     """Execute one chunk of one site and return the resulting state.
 
-    Installs the shipped globals (reduction cells arrive pre-reset to
-    their identity), sets the chunk bounds, and calls the site's outlined
-    ``__kremlin_chunkN`` entry point.  Array contents are installed with
-    slice assignment so the storage object the engine's generated code
-    binds to keeps its identity.
+    The chunk's run starts from the shipped globals (reduction cells
+    arrive pre-reset to their identity) plus its site and bounds, and
+    calls the site's outlined ``__kremlin_chunkN`` entry point.
     """
-    program = _compile_cached(task.source, task.filename)
-    interp = Interpreter(
-        program, engine=task.engine, max_instructions=task.max_instructions
+    interp = _prepared(
+        task.source, task.filename, task.engine, task.max_instructions
     )
-    interp.prepare()
-    interp.globals_scalar.update(task.scalars)
-    interp.globals_scalar["__kremlin_site"] = task.site
-    interp.globals_scalar["__kremlin_lo"] = task.lo
-    interp.globals_scalar["__kremlin_hi"] = task.hi
-    for name, data in task.arrays.items():
-        storage = interp.globals_array[name]
-        storage.data[:] = data
+    scalars = dict(
+        task.scalars,
+        __kremlin_site=task.site,
+        __kremlin_lo=task.lo,
+        __kremlin_hi=task.hi,
+    )
     start = time.perf_counter()
-    result = interp.run(f"__kremlin_chunk{task.site}")
+    result = interp.run(
+        f"__kremlin_chunk{task.site}", scalars=scalars, arrays=task.arrays
+    )
     elapsed = time.perf_counter() - start
+    state = interp.state
     return ChunkOutcome(
         site=task.site,
         lo=task.lo,
         hi=task.hi,
-        scalars=dict(interp.globals_scalar),
-        arrays={
-            name: list(storage.data)
-            for name, storage in interp.globals_array.items()
-        },
+        scalars=state.scalars,
+        arrays={name: storage.data for name, storage in state.arrays.items()},
         seconds=elapsed,
         instructions=result.instructions_retired,
         pid=os.getpid(),

@@ -7,7 +7,7 @@ import pytest
 from repro.interp.errors import InterpreterError
 from repro.interp.interpreter import ExecutionObserver, Interpreter
 from repro.kremlib.profiler import KremlinProfiler
-from tests.conftest import compile_source, run_source
+from tests.conftest import ENGINE_MODES, compile_source, run_source
 
 
 def result_of(body: str):
@@ -318,3 +318,85 @@ class TestEngineSelection:
         assert interp.engine == "compiled"
         assert interp.run("main").value == 6
         assert interp._compiled is not None
+
+
+_REPRO = "int g; int main() { print(g); g = g + 1; return g; }"
+
+
+def _interp(program, mode, **kwargs):
+    """An interpreter in one of conftest's ENGINE_MODES."""
+    if mode == "fused":
+        profiler = KremlinProfiler(program)
+        return Interpreter(
+            program, observer=profiler, engine="compiled", **kwargs
+        )
+    return Interpreter(program, engine=mode, **kwargs)
+
+
+@pytest.mark.parametrize("mode", ENGINE_MODES)
+class TestRunLifecycle:
+    """Every run starts from fresh run state, as a binary starts every
+    execution from its initializers."""
+
+    def test_repeated_runs_are_identical(self, mode):
+        interp = _interp(compile_source(_REPRO), mode)
+        for _ in range(3):
+            result = interp.run("main")
+            assert result.value == 1
+            assert result.output == ["0"]
+            assert result.instructions_retired == 9
+
+    def test_rand_sequence_repeats(self, mode):
+        source = """
+        int main() {
+          print(rand(), randf());
+          srand(7);
+          print(rand(), rand());
+          return 0;
+        }
+        """
+        interp = _interp(compile_source(source), mode)
+        outputs = [interp.run("main").output for _ in range(3)]
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0]) == 2
+
+    def test_global_array_starts_zeroed(self, mode):
+        source = """
+        int buf[4];
+        int main() { int old = buf[2]; buf[2] = 99; return old; }
+        """
+        interp = _interp(compile_source(source), mode)
+        assert interp.run("main").value == 0
+        assert interp.run("main").value == 0
+        assert interp.state.arrays["buf"].data[2] == 99
+
+    def test_budget_applies_per_run(self, mode):
+        interp = _interp(compile_source(_REPRO), mode, max_instructions=12)
+        for _ in range(3):
+            assert interp.run("main").value == 1
+
+    def test_starting_globals_overlay_initializers(self, mode):
+        interp = _interp(compile_source(_REPRO), mode)
+        assert interp.run("main", scalars={"g": 5}).value == 6
+        assert interp.state.scalars["g"] == 6
+        assert interp.run("main").value == 1
+
+
+@pytest.mark.parametrize("engine", ["tree", "compiled"])
+def test_rejected_call_keeps_last_run(engine):
+    """Entry lookup and the argument check come before any observer hook,
+    so a bad call leaves the last run's state and profile intact."""
+    program = compile_source(_REPRO)
+    profiler = KremlinProfiler(program)
+    interp = Interpreter(program, observer=profiler, engine=engine)
+    interp.run("main")
+    profile = profiler.profile
+    with pytest.raises(InterpreterError, match="expects 0 arguments"):
+        interp.run("main", (1,))
+    with pytest.raises(KeyError):
+        interp.run("no_such_function")
+    assert profiler.profile is profile
+    state = interp.state
+    with pytest.raises(InterpreterError, match="expects 0 arguments"):
+        interp.run("main", (1,))
+    assert interp.state is state

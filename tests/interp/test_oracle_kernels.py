@@ -22,7 +22,7 @@ def run_and_read(source: str, arrays: dict[str, int]):
     result = interpreter.run()
     out = {"__ret__": result.value}
     for name in arrays:
-        out[name] = list(interpreter.globals_array[name].data)
+        out[name] = list(interpreter.state.arrays[name].data)
     return out
 
 

@@ -94,8 +94,8 @@ class TestShadowMemoryStructure:
         profiler = KremlinProfiler(program)
         interpreter = Interpreter(program, observer=profiler)
         interpreter.run()
-        touched_id = id(interpreter.globals_array["touched"])
-        untouched_id = id(interpreter.globals_array["untouched"])
+        touched_id = id(interpreter.state.arrays["touched"])
+        untouched_id = id(interpreter.state.arrays["untouched"])
         assert touched_id in profiler.mem_shadow
         assert untouched_id not in profiler.mem_shadow
         # one slot per written element
