@@ -25,7 +25,10 @@ Two flavors share the structurer and the statement generators:
   past a flush point. Dead shadow stores are elided by block liveness,
   consumed (dominated) events are skipped in the region fold, entries
   resolve by a backward scan that prefix-closed validity stops at the
-  first matching tag, and folds raise vectors in place. All of it is
+  first matching tag, and folds raise vectors in place; const floors
+  scan ``cps`` backward (vectors are non-increasing in depth), and
+  control-stack reads and ``stack`` guards that a codegen-time dataflow
+  proves dead are not emitted. All of it is
   value-exact: serialized profiles stay bit-identical to the tree
   engine's (the differential suite, fuzz matrix, and codegen-smoke CI
   job enforce it). Quickening is disabled in this flavor: every register
@@ -241,11 +244,7 @@ class _FunctionEmitter:
         self.fallback = False
         # Locals beat the shared counts list when no budget needs a live
         # global view; single-block functions flush literals directly.
-        self.uses_ir = (
-            not self.fused
-            and m.budget is None
-            and len(function.blocks) > 1
-        )
+        self.uses_ir = m.budget is None and len(function.blocks) > 1
         # Deferred retired/cost totals: with no budget watching counts[0],
         # block totals accumulate at codegen time and flush as a single
         # pair of adds per control-flow departure instead of per block.
@@ -342,7 +341,7 @@ class _FunctionEmitter:
         lines.append(_PAD + f"if _d > {_MAX_CALL_DEPTH}:")
         lines.append(_PAD + "    raise InterpreterError(")
         lines.append(_PAD + "        'call stack exhausted (runaway recursion?)')")
-        if self.fused:
+        if self.fused and self._pushes:
             lines.append(_PAD + "control = []")
         r_init = sorted(self.r_used - set(params))
         if r_init:
@@ -633,6 +632,17 @@ class _FunctionEmitter:
         """Hook: profiling work before the counts/transfer (fused only)."""
 
     def _ret_block_lines(self, term, retired, cost) -> list[str]:
+        frag = self._ret_count_lines(retired, cost)
+        if term.value is None:
+            frag.append("return None")
+            return frag
+        frag.append(f"v = {self._operand(term.value)}")
+        frag += self._ret_conversion_lines()
+        frag.append("return v")
+        return frag
+
+    def _ret_count_lines(self, retired, cost) -> list[str]:
+        """Settle the block's and every deferred count before returning."""
         frag: list[str] = []
         if self.uses_ir:
             frag.append(f"counts[0] += _ir + {self.pend_ir + retired}")
@@ -647,12 +657,6 @@ class _FunctionEmitter:
             frag.append(
                 "    raise InterpreterError('instruction budget exceeded')"
             )
-        if term.value is None:
-            frag.append("return None")
-            return frag
-        frag.append(f"v = {self._operand(term.value)}")
-        frag += self._ret_conversion_lines()
-        frag.append("return v")
         return frag
 
     def _ret_conversion_lines(self) -> list[str]:
@@ -1086,6 +1090,62 @@ def _live_out_sets(function) -> dict[int, frozenset]:
     return live_out
 
 
+def _control_live_in(function, info) -> dict:
+    """Forward may-analysis of each activation's control stack: block ->
+    the pushing branch blocks whose entry may be on the stack when the
+    block is entered (before its own join pops).
+
+    Only non-loop branches push; a join removes the entries of the
+    branches it joins (and, not modelled here, everything above them),
+    so the sets over-approximate. An empty set proves the control top
+    reads None throughout the block."""
+    live_in: dict = {block: frozenset() for block in function.blocks}
+    changed = True
+    while changed:
+        changed = False
+        for block in function.blocks:
+            term = block.terminator
+            live = live_in[block].difference(info.pops_at.get(block, ()))
+            if type(term) is Branch and block not in info.loop_branch_blocks:
+                live = live | {block}
+            for succ in term.successors:
+                merged = live_in[succ] | live
+                if merged != live_in[succ]:
+                    live_in[succ] = merged
+                    changed = True
+    return live_in
+
+
+def _open_region_counts(function) -> tuple[dict, bool]:
+    """Forward must-analysis: block -> the fewest of the function's own
+    regions open at its entry, over every path from the function entry.
+
+    The flag is False when some region exit may run with none of the
+    function's own regions open (IR mutated after instrumentation); it
+    could then pop a caller's region, so no count may be trusted."""
+    counts = {function.entry: 0}
+    balanced = True
+    work = [function.entry]
+    while work:
+        block = work.pop()
+        n = counts[block]
+        for instr in block.instructions:
+            cls = type(instr)
+            if cls is RegionEnter:
+                n += 1
+            elif cls is RegionExit:
+                if n:
+                    n -= 1
+                else:
+                    balanced = False
+        for succ in block.terminator.successors:
+            old = counts.get(succ)
+            if old is None or n < old:
+                counts[succ] = n
+                work.append(succ)
+    return counts, balanced
+
+
 class _FusedFunctionEmitter(_FunctionEmitter):
     """Compiles one function with KremlinProfiler semantics baked in.
 
@@ -1110,8 +1170,16 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         self._sym = 0  # numbers timestamp and resolution temporaries
         self._metrics_on = m.metrics_on
         self._max_depth = m.max_depth
-        self.info = m.instrumentation.get(function.name)
+        self.info = m.instrumentation[function.name]
         self.live_out = _live_out_sets(function)
+        self._ctrl_in = _control_live_in(function, self.info)
+        self._pushes = any(self._ctrl_in.values())
+        self._open_in = m.open_counts[function.name]
+        self._balanced = m.regions_balanced
+        # Per block while it is emitted: the branches whose control entry
+        # may be live, and how many of this function's regions are open.
+        self._ctrl_live: frozenset = frozenset()
+        self._open = 0
         self._seg_reset()
 
     def _sreg(self, index: int) -> str:
@@ -1196,7 +1264,8 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             src = self._entry_source(lines, cell_expr)
             self._resolved(src)
             raw[src] = 0
-        if fresh_control:
+        # With no control entry live, the control top reads None: no input.
+        if self._ctrl_live and fresh_control:
             # The branch terminator reads the control top after its own
             # truncation, so the segment cache cannot be used.
             src = self._entry_source(
@@ -1204,7 +1273,7 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             )
             self._resolved(src)
             raw[src] = 0
-        else:
+        elif self._ctrl_live:
             src = self._ctrl_src(lines)
             if raw.get(src, -1) < 0:
                 raw[src] = 0
@@ -1280,9 +1349,12 @@ class _FusedFunctionEmitter(_FunctionEmitter):
 
     # Region bodies (the profiler's on_region_enter/on_region_exit). With
     # the depth window unlimited every region is tracked, so the window
-    # checks fold away: the tracked depth is the stack height.
+    # checks fold away: the tracked depth is the stack height. Where one
+    # of the function's own regions is open, ``stack`` is non-empty.
     def _gen_region_enter(self, lines, static_id) -> None:
         maxd = self._max_depth
+        if self._balanced:
+            self._open += 1
         if maxd == _UNLIMITED_DEPTH:
             lines += [
                 f"_rg = _ActiveRegion({static_id}, prof._next_instance, True)",
@@ -1309,10 +1381,15 @@ class _FusedFunctionEmitter(_FunctionEmitter):
 
     def _gen_region_exit(self, lines, static_id) -> None:
         maxd = self._max_depth
+        if self._open:
+            self._open -= 1
+        else:
+            lines += [
+                "if not stack:",
+                "    raise ProfilerError(",
+                f"        'region_exit #{static_id} with empty region stack')",
+            ]
         lines += [
-            "if not stack:",
-            "    raise ProfilerError(",
-            f"        'region_exit #{static_id} with empty region stack')",
             "_rg = stack.pop()",
             f"if _rg.static_id != {static_id}:",
             "    raise ProfilerError(",
@@ -1336,15 +1413,21 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         lines += [
             "if _cp > _rg.work:",
             "    _cp = _rg.work",
+            "_ch = _rg.children",
             "_c = prof.dictionary.intern(_rg.static_id, _rg.work, _cp,",
-            "                            tuple(sorted(_rg.children.items())))",
-            "if stack:",
-            "    _pr = stack[-1]",
-            "    _pr.work += _rg.work",
-            "    _pr.children[_c] = _pr.children.get(_c, 0) + 1",
-            "else:",
-            "    prof.root_char = _c",
+            "                            tuple(sorted(_ch.items())) if _ch else ())",
         ]
+        parent = [
+            "_pr = stack[-1]",
+            "_pr.work += _rg.work",
+            "_pr.children[_c] = _pr.children.get(_c, 0) + 1",
+        ]
+        if self._open:
+            lines += parent
+        else:
+            lines.append("if stack:")
+            lines += [_PAD + line for line in parent]
+            lines += ["else:", "    prof.root_char = _c"]
 
     def _materialize(self, lines, ts: _SymTS) -> str:
         if ts.conc is not None:
@@ -1415,6 +1498,19 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             pad + f"        {target}[_q] = _t",
         ]
 
+    def _raise_floor(self, lines, const) -> None:
+        """Raise ``cps`` to at least ``const``. Every timestamp vector is
+        non-increasing in depth (an input valid at a depth is valid at
+        every shallower one, and const floors pad every depth), and so is
+        ``cps``; the slots below ``const`` are therefore a suffix, and a
+        backward scan stops at the first slot already at ``const``."""
+        lines += [
+            "_q = _dp - 1",
+            f"while _q >= 0 and cps[_q] < {const}:",
+            f"    cps[_q] = {const}",
+            "    _q -= 1",
+        ]
+
     def _count_segment(self, lines) -> None:
         """Metrics: the segment's operand counters, as the tree profiler's
         per-event hooks would count them. A source shared by several
@@ -1447,45 +1543,44 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             for ts in self._seg_events
             if id(ts) not in self._seg_consumed
         ]
-        if self._seg_cost or maximal:
+        body: list[str] = []
+        if self._seg_cost:
+            body.append(f"stack[-1].work += {self._seg_cost}")
+        conc_cover: dict[_SymSource, int] = {}
+        conc_const = 0
+        folded = set()
+        for ts in maximal:
+            # A pure-const vector folds as a floor (below).
+            if ts.conc is None or not ts.parts or ts.conc in folded:
+                continue
+            folded.add(ts.conc)
+            self._fold_source(body, ts.as_source(), 0, "cps", "")
+            for src, off in ts.cover.items():
+                if off > conc_cover.get(src, -1):
+                    conc_cover[src] = off
+            if ts.const > conc_const:
+                conc_const = ts.const
+        fold_parts: dict[_SymSource, int] = {}
+        fold_const = 0
+        for ts in maximal:
+            if ts.conc is not None and ts.parts:
+                continue  # folded as a list above
+            for src, off in ts.parts.items():
+                if off > fold_parts.get(src, -1):
+                    fold_parts[src] = off
+            if ts.const > fold_const:
+                fold_const = ts.const
+        for src, off in fold_parts.items():
+            if conc_cover.get(src, -1) >= off:
+                continue  # already folded through a materialized event
+            self._fold_source(body, src, off, "cps", "")
+        if fold_const > conc_const:
+            self._raise_floor(body, fold_const)
+        if body and self._open:
+            lines += body
+        elif body:
             lines.append("if stack:")
-            if self._seg_cost:
-                lines.append(f"    stack[-1].work += {self._seg_cost}")
-            conc_cover: dict[_SymSource, int] = {}
-            conc_const = 0
-            folded = set()
-            for ts in maximal:
-                if ts.conc is None:
-                    continue
-                if ts.conc in folded:
-                    continue
-                folded.add(ts.conc)
-                self._fold_source(lines, ts.as_source(), 0, "cps", _PAD)
-                for src, off in ts.cover.items():
-                    if off > conc_cover.get(src, -1):
-                        conc_cover[src] = off
-                if ts.const > conc_const:
-                    conc_const = ts.const
-            fold_parts: dict[_SymSource, int] = {}
-            fold_const = 0
-            for ts in maximal:
-                if ts.conc is not None:
-                    continue
-                for src, off in ts.parts.items():
-                    if off > fold_parts.get(src, -1):
-                        fold_parts[src] = off
-                if ts.const > fold_const:
-                    fold_const = ts.const
-            for src, off in fold_parts.items():
-                if conc_cover.get(src, -1) >= off:
-                    continue  # already folded through a materialized event
-                self._fold_source(lines, src, off, "cps", _PAD)
-            if fold_const > conc_const:
-                lines += [
-                    "    for _q in range(_dp):",
-                    f"        if cps[_q] < {fold_const}:",
-                    f"            cps[_q] = {fold_const}",
-                ]
+            lines += [_PAD + line for line in body]
         self._seg_reset()
 
     def _skip_instr(self, instr) -> bool:
@@ -1493,7 +1588,11 @@ class _FusedFunctionEmitter(_FunctionEmitter):
 
     def _gen_head(self, frag: list[str], block) -> None:
         super()._gen_head(frag, block)
-        if self.info is not None and block in self.info.pops_at:
+        self._open = self._open_in.get(block, 0) if self._balanced else 0
+        live = self._ctrl_in[block]
+        joined = self.info.pops_at.get(block, ())
+        self._ctrl_live = live.difference(joined)
+        if not live.isdisjoint(joined):
             # Control-dependence join: entering ends the influence of
             # every branch whose join this block is (on_block_enter).
             join_key = id(block)
@@ -1658,7 +1757,7 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         # Branch: re-executing (back edge) ends every control region opened
         # after its previous execution — truncate to its old position FIRST
         # (and do not chain the new entry off the old one; see on_branch).
-        info = self.m.instrumentation[self.function.name]
+        info = self.info
         block_key = id(block)
         if block in info.loop_branch_blocks:
             # Loop-continuation tests never push their own control entry,
@@ -1671,41 +1770,37 @@ class _FusedFunctionEmitter(_FunctionEmitter):
                 (term.cond.index,) if type(term.cond) is Register else ()
             )
             self._sym_event(frag, term.cost, reg_indices)
-            self._resolved(self._ctrl_src(frag))
+            if self._ctrl_live:
+                self._resolved(self._ctrl_src(frag))
             self._seg_flush(frag, keep)
             return
-        frag += [
-            "_k = len(control) - 1",
-            "while _k >= 0:",
-            f"    if control[_k][0] == {block_key}:",
-            "        del control[_k:]",
-            "        break",
-            "    _k -= 1",
-        ]
+        if block in self._ctrl_live:
+            frag += [
+                "_k = len(control) - 1",
+                "while _k >= 0:",
+                f"    if control[_k][0] == {block_key}:",
+                "        del control[_k:]",
+                "        break",
+                "    _k -= 1",
+            ]
+        # A branch's entry is on the stack at most once (its push follows
+        # its own truncation), so only other branches' entries survive.
+        self._ctrl_live = self._ctrl_live - {block}
         reg_indices = (
             (term.cond.index,) if type(term.cond) is Register else ()
         )
         tv = self._event_value(
             frag, term.cost, reg_indices, fresh_control=True
         )
-        if block not in info.loop_branch_blocks:
-            join = info.control.branch_join.get(block)
-            join_key = id(join) if join is not None else None
-            frag.append(
-                f"control.append(({block_key}, {join_key}, ({tv}, _cu)))"
-            )
-        # else: loop-continuation tests do not enter the control stack
+        join = info.control.branch_join.get(block)
+        join_key = id(join) if join is not None else None
+        frag.append(
+            f"control.append(({block_key}, {join_key}, ({tv}, _cu)))"
+        )
         self._seg_flush(frag, keep)
 
     def _ret_block_lines(self, term, retired, cost) -> list[str]:
-        frag: list[str] = []
-        frag.append(f"counts[0] += {retired}")
-        frag.append(f"counts[1] += {cost}")
-        if self.budget is not None:
-            frag.append(f"if counts[0] > {self.budget}:")
-            frag.append(
-                "    raise InterpreterError('instruction budget exceeded')"
-            )
+        frag = self._ret_count_lines(retired, cost)
         if term.value is not None:
             frag.append(f"v = {self._operand(term.value)}")
             frag += self._ret_conversion_lines()
@@ -1734,19 +1829,22 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         # overhead itself — same statement order as the tree profiler.
         frag.append("_cur = prof.tags")
         frag.append("_tdp = prof.tracked_depth")
-        frag.append(
-            "_ctr = _resolve(control[-1][2], _cur) if control else None"
-        )
+        base = "[]"
+        if self._ctrl_live:
+            frag.append(
+                "_ctr = _resolve(control[-1][2], _cur) if control else None"
+            )
+            base = "[] if _ctr is None else [_ctr]"
         if self._metrics_on:
             frag.append("_mfr[0] += 1")
-        frag.append("_ai = [] if _ctr is None else [_ctr]")
+        frag.append(f"_ai = {base}")
         ps_names: list[str] = []
         for k, arg in enumerate(instr.args[: len(callee.params)]):
             ps = f"_ps{k}"
             ps_names.append(ps)
             if type(arg) is Register:
                 frag += [
-                    "_pi = [] if _ctr is None else [_ctr]",
+                    f"_pi = {base}",
                     f"_rs = _resolve({self._sreg(arg.index)}, _cur)",
                     "if _rs is not None:",
                     "    _pi.append(_rs)",
@@ -1754,20 +1852,21 @@ class _FusedFunctionEmitter(_FunctionEmitter):
                     f"{ps} = (_cts(_pi, {cost}, _tdp), _cur)",
                 ]
             else:
-                frag.append(
-                    f"{ps} = (_cts([] if _ctr is None else [_ctr], "
-                    f"{cost}, _tdp), _cur)"
-                )
+                frag.append(f"{ps} = (_cts({base}, {cost}, _tdp), _cur)")
         frag.append(f"_ts = _cts(_ai, {cost}, _tdp)")
-        frag += [
-            "if stack:",
-            f"    stack[-1].work += {cost}",
-            "    _k = 0",
-            "    for _t in _ts:",
-            "        if _t > cps[_k]:",
-            "            cps[_k] = _t",
-            "        _k += 1",
+        fold = [
+            f"stack[-1].work += {cost}",
+            "_k = 0",
+            "for _t in _ts:",
+            "    if _t > cps[_k]:",
+            "        cps[_k] = _t",
+            "    _k += 1",
         ]
+        if self._open:
+            frag += fold
+        else:
+            frag.append("if stack:")
+            frag += [_PAD + line for line in fold]
         value_args = "".join(f"{a}, " for a in args)
         shadow_args = "".join(f"{p}, " for p in ps_names)
         call = f"_mc_{instr.callee}({value_args}{shadow_args}_d + 1)"
@@ -1886,6 +1985,14 @@ class _FusedModuleEmitter(_ModuleEmitter):
         self.instrumentation = program.instrumentation.functions
         self.max_depth = max_depth
         self.metrics_on = metrics_on
+        # A function's own open-region counts prove ``stack`` non-empty
+        # only if no function can pop a region it did not open.
+        self.open_counts: dict[str, dict] = {}
+        self.regions_balanced = True
+        for name, function in self.module.functions.items():
+            counts, balanced = _open_region_counts(function)
+            self.open_counts[name] = counts
+            self.regions_balanced = self.regions_balanced and balanced
 
     def _new_function_emitter(self, function):
         return _FusedFunctionEmitter(self, function)
@@ -1941,7 +2048,12 @@ def build_unit(
     max_depth: int | None = None,
     metrics_on: bool = False,
 ) -> CodegenUnit:
-    """Compile ``program`` to a :class:`CodegenUnit` (no caching)."""
+    """Compile ``program`` to a :class:`CodegenUnit` (no caching).
+
+    ``max_depth=None`` means an unlimited depth window, as it does for
+    :class:`~repro.kremlib.profiler.KremlinProfiler`."""
+    if max_depth is None:
+        max_depth = _UNLIMITED_DEPTH
     start = time.perf_counter()
     last_error: Exception | None = None
     for force in (False, True):
@@ -1998,6 +2110,8 @@ def codegen_unit(
     from repro.interp import diskcache
     from repro.obs.metrics import get_metrics, metrics_enabled
 
+    if max_depth is None:
+        max_depth = _UNLIMITED_DEPTH
     key = (flavor, budget, max_depth, metrics_on)
     cache = program.__dict__.setdefault("_codegen_units", {})
     unit = cache.get(key)

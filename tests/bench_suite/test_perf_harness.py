@@ -36,3 +36,18 @@ def test_repeated_runs_record_a_single_run_count():
             program, lambda: kremlin_cc(_SOURCE, "count.c"), mode, runs=3
         )
         assert row["instructions_retired"] == single.instructions_retired
+
+
+def test_update_baseline_keeps_each_ratios_median_pass():
+    harness = _load_harness()
+
+    def results(ep_plain, ep_hcpa):
+        return {"ep": {
+            "plain": {"speedup_compiled": ep_plain, "pass": (ep_plain,)},
+            "hcpa": {"speedup_compiled": ep_hcpa, "pass": (ep_hcpa,)},
+        }}
+
+    passes = [results(15.0, 6.0), results(11.0, 8.0), results(13.0, 7.0)]
+    median = harness.median_results(passes)
+    assert median["ep"]["plain"] == {"speedup_compiled": 13.0, "pass": (13.0,)}
+    assert median["ep"]["hcpa"] == {"speedup_compiled": 7.0, "pass": (7.0,)}
