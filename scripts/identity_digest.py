@@ -17,6 +17,9 @@ A digest covers, for every bench program:
   reports: the per-loop verdict tags (as the analyzer returns them and as
   stamped on the region tree), the rendered lint diagnostics, the mod/ref
   summaries and the static cost bounds;
+* the parallel transform's decisions (``plan_transform`` without a
+  plan): accepted region ids with their reductions, and every refused
+  region with its reason;
 
 and, for each replan input (bt, sp, mg, lu, ammp merged over the first
 k in {1, 3} of those depth windows): the merged profile, its compression
@@ -67,6 +70,7 @@ def digest(checkout: str) -> dict:
     from repro.hcpa.serialize import profile_from_json, profile_to_json
     from repro.interp.codegen import build_unit
     from repro.kremlib.profiler import KremlinProfiler
+    from repro.parallel.transform import plan_transform
     from repro.planner.registry import available_personalities, create_planner
     from repro.report.export import plan_to_csv
 
@@ -98,6 +102,15 @@ def digest(checkout: str) -> dict:
         )
         out[f"check/{name}/costs"] = _h(
             json.dumps(costs_to_json(analysis.costs), sort_keys=True)
+        )
+        transform = plan_transform(program)
+        out[f"parallel/{name}/sites"] = _h(
+            repr([
+                (site.region_id,
+                 [(r.name, r.op, r.is_float) for r in site.reductions])
+                for site in transform.sites
+            ])
+            + repr([(r.region_id, r.reason) for r in transform.refused])
         )
         out[f"codegen/{name}/plain"] = _h(
             _normalize(build_unit(program, "plain").source)

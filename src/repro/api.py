@@ -381,7 +381,7 @@ class KremlinSession:
         with self._observed():
             tracer = get_tracer()
             with tracer.span(
-                "execute",
+                "parallel.execute",
                 workers=options.workers,
                 mode=options.mode,
             ):

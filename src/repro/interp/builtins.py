@@ -24,7 +24,7 @@ class BuiltinSpec:
     returns: str  # 'int' | 'float' | 'void' | 'same'
     cost: int
     impl: Callable
-    variadic: bool = False  # extra 'num'/'str' args allowed (print)
+    variadic: bool = False  # extra 'num'/'str' args allowed (print, fork)
 
 
 class _LcgState:
@@ -88,24 +88,23 @@ def _impl_randf(runtime):
     return runtime.state.rng.next_int() / 2147483648.0
 
 
-def _impl_kremlin_fork(runtime):
+def _impl_kremlin_fork(runtime, site, trip, *env):
     """Chunk-dispatch rendezvous emitted by the parallel-loop transform.
 
-    A :class:`~repro.parallel.executor.ParallelExecutor` installs a policy
+    ``__kremlin_fork(site, trip, env...)`` returns the upper bound of the
+    master's own chunk ``(0, hi]``. A
+    :class:`~repro.parallel.executor.ParallelExecutor` installs a policy
     object on the interpreter (``_parallel_policy``) whose ``fork`` method
-    partitions the counted trip and dispatches worker chunks. Without a
-    policy — a transformed program run like any other program, or a
-    rewritten site reached *inside* a worker chunk — fork degrades to
-    serial semantics: the masked master loop claims every iteration.
+    partitions ``trip``, dispatches worker chunks with ``env`` as their
+    arguments and returns the master's bound. Without a policy — a
+    transformed program run like any other program, or a rewritten site
+    reached *inside* a worker chunk — fork degrades to serial semantics:
+    the masked master loop claims every iteration.
     """
     policy = getattr(runtime, "_parallel_policy", None)
     if policy is not None:
-        policy.fork(runtime)
-        return None
-    cells = runtime.state.scalars
-    cells["__kremlin_lo"] = 0
-    cells["__kremlin_hi"] = int(cells.get("__kremlin_trip", 0))
-    return None
+        return policy.fork(runtime, site, trip, env)
+    return trip
 
 
 def _impl_kremlin_join(runtime):
@@ -142,7 +141,10 @@ BUILTINS: dict[str, BuiltinSpec] = {
         # repro.parallel transform, never written by hand; see
         # docs/PARALLEL.md). Serial cost 1: the transformed program's
         # profile is not compared against the original's.
-        BuiltinSpec("__kremlin_fork", (), "void", 1, _impl_kremlin_fork),
+        BuiltinSpec(
+            "__kremlin_fork", ("num", "num"), "int", 1, _impl_kremlin_fork,
+            variadic=True,
+        ),
         BuiltinSpec("__kremlin_join", (), "void", 1, _impl_kremlin_join),
     ]
 }

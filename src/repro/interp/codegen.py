@@ -592,7 +592,10 @@ class _FunctionEmitter:
     def _loop_hoist(self, loop) -> dict[str, str]:
         """Scalar globals read but never written inside ``loop`` (and with
         no user call that could write them): cache them in locals for the
-        loop's duration. Builtins cannot touch global cells."""
+        loop's duration. Builtins do not write global cells, with one
+        exception: ``__kremlin_join``'s reduction fold. It writes only the
+        cells its site's masked loop stores, and that loop sits inside any
+        loop containing the join, so those cells are already killed."""
         if self.fused:
             return {}
         loads: list[str] = []

@@ -7,10 +7,12 @@ serially (ground truth + baseline timing), rewrites it with
 identical.  The policy is what ``__kremlin_fork``/``__kremlin_join``
 dispatch to:
 
-* **fork** — read the counted trip, partition it into ``(lo, hi]``
-  chunks, snapshot global state, ship chunks 1.. to pool workers
-  (reduction cells reset to their identity), and claim chunk 0 for the
-  master's masked loop.
+* **fork** — take the site and counted trip (and the site's free
+  locals) as arguments, partition the trip into ``(lo, hi]`` chunks,
+  snapshot global state, ship chunks 1.. to pool workers with their
+  bounds and the locals as entry arguments (reduction cells reset to
+  their identity), and return chunk 0's bound to the master's masked
+  loop.
 * **join** — collect worker outcomes and three-way merge: each worker's
   array diff (vs the fork snapshot) is applied in place; two writers
   disagreeing on one element, or any unexpected scalar write, aborts.
@@ -44,7 +46,6 @@ from repro.parallel.nesting import (
 from repro.parallel.partition import partition_iterations
 from repro.parallel.reduction import combine_partials, identity_for
 from repro.parallel.transform import (
-    PREFIX,
     RefusedSite,
     SiteSpec,
     TransformResult,
@@ -224,6 +225,7 @@ class _PoolTransport:
 @dataclass
 class _PendingEntry:
     site: SiteSpec
+    trip: int
     chunks: list[tuple[int, int]]
     futures: list
     ship_scalars: dict
@@ -255,10 +257,10 @@ class _ExecutorPolicy:
         self.stats = stats
         self.stack: list[_PendingEntry] = []
 
-    def fork(self, interp) -> None:
-        cells = interp.state.scalars
-        site = self.sites[int(cells["__kremlin_site"])]
-        trip = int(cells["__kremlin_trip"])
+    def fork(self, interp, site_index: int, trip: int, env: tuple) -> int:
+        """Dispatch chunks 1.. of one site entry; return the master's
+        upper bound (its chunk is ``(0, hi]``)."""
+        site = self.sites[site_index]
         stats = self.stats[site.index]
         stats.entries += 1
         stats.iterations += trip
@@ -271,7 +273,7 @@ class _ExecutorPolicy:
             for name, storage in interp.state.arrays.items()
         }
         futures: list = []
-        ship_scalars = dict(cells)
+        ship_scalars = dict(interp.state.scalars)
         if len(chunks) > 1:
             for spec in site.reductions:
                 ship_scalars[spec.name] = identity_for(
@@ -286,6 +288,7 @@ class _ExecutorPolicy:
                             site=site.index,
                             lo=lo,
                             hi=hi,
+                            env=env,
                             engine=self.engine,
                             scalars=ship_scalars,
                             arrays=snapshot_arrays,
@@ -297,6 +300,7 @@ class _ExecutorPolicy:
         self.stack.append(
             _PendingEntry(
                 site=site,
+                trip=trip,
                 chunks=chunks,
                 futures=futures,
                 ship_scalars=ship_scalars,
@@ -304,9 +308,7 @@ class _ExecutorPolicy:
                 start=time.perf_counter(),
             )
         )
-        master_lo, master_hi = chunks[0]
-        cells["__kremlin_lo"] = master_lo
-        cells["__kremlin_hi"] = master_hi
+        return chunks[0][1]
 
     def join(self, interp) -> None:
         entry = self.stack.pop()
@@ -328,7 +330,7 @@ class _ExecutorPolicy:
             end,
             site=entry.site.region_name,
             chunks=len(entry.chunks),
-            trip=int(interp.state.scalars.get("__kremlin_trip", 0)),
+            trip=entry.trip,
         )
         for outcome in outcomes:
             stats.worker_seconds += outcome.seconds
@@ -386,8 +388,6 @@ class _ExecutorPolicy:
                     storage.data[index] = value
                     applied[key] = rendered
             for name, value in outcome.scalars.items():
-                if name.startswith(PREFIX):
-                    continue
                 shipped = entry.ship_scalars.get(name)
                 if repr(value) == repr(shipped):
                     continue
@@ -409,17 +409,11 @@ class _ExecutorPolicy:
 
 
 def _state_snapshot(interp: Interpreter) -> tuple[dict, dict]:
-    scalars = {
-        name: value
-        for name, value in interp.state.scalars.items()
-        if not name.startswith(PREFIX)
-    }
     arrays = {
         name: list(storage.data)
         for name, storage in interp.state.arrays.items()
-        if not name.startswith(PREFIX)
     }
-    return scalars, arrays
+    return dict(interp.state.scalars), arrays
 
 
 def _diff_states(

@@ -9,29 +9,31 @@ that the differential matrix already cross-checks.
 For each accepted site ``K`` the rewrite produces::
 
     {                                   // replaces the original loop
-      __kremlin_trip = 0;               // 1. counting pass (renamed
+      int __kremlin_trip = 0;           // 1. counting pass (renamed
       for (int __kremlin_c = init; ...) //    induction, clobbers nothing)
-          __kremlin_trip = __kremlin_trip + 1;
-      __kremlin_envK_0 = local; ...     // 2. export free locals
-      __kremlin_site = K;
-      __kremlin_fork();                 // 3. rendezvous: partition +
-                                        //    dispatch (serial when no
-                                        //    executor policy is attached)
-      { int __kremlin_iter = 0;         // 4. masked loop: master runs
-        for (init; cond; step) {        //    chunk 0; induction vars
-          __kremlin_iter += 1;          //    still step through ALL
-          if (iter > lo && iter <= hi)  //    iterations, so they end at
+          __kremlin_trip += 1;
+      int __kremlin_hi =                // 2. rendezvous: partition +
+          __kremlin_fork(K, __kremlin_trip, v0, v1, ...);
+                                        //    dispatch; the free locals
+                                        //    travel as arguments, and the
+                                        //    master's bound comes back
+      { int __kremlin_iter = 0;         // 3. masked loop: master runs
+        for (init; cond; step) {        //    chunk 0 = (0, hi]; induction
+          __kremlin_iter += 1;          //    vars still step through ALL
+          if (iter <= __kremlin_hi)     //    iterations, so they end at
             <original body>;            //    their natural values
         } }
-      __kremlin_join();                 // 5. rendezvous: merge partials
+      __kremlin_join();                 // 4. rendezvous: merge partials
     }
 
-plus an outlined ``void __kremlin_chunkK()`` holding a copy of the same
-guarded loop (workers set ``lo``/``hi`` before calling it), and four int
-control globals shared by every site.  Because ``__kremlin_fork`` without
-a policy claims every iteration for the master, the transformed program
-run *as-is* is observably identical to the original — that equivalence is
-what the serial-vs-parallel differential lane asserts.
+plus an outlined ``void __kremlin_chunkK(int __kremlin_lo, int
+__kremlin_hi, T0 v0, T1 v1, ...)`` holding a copy of the same loop guarded
+by ``lo < iter <= hi``; workers call it with their chunk's bounds and the
+shipped free locals.  Every rendezvous value travels through the ordinary
+calling convention, so the rewrite declares no global.  Because
+``__kremlin_fork`` without a policy returns the whole trip, the
+transformed program run *as-is* is observably identical to the original —
+that equivalence is what the serial-vs-parallel differential lane asserts.
 
 Vetting is deliberately stricter than the static verdict: the verdict
 proves iterations independent, but chunked masking additionally requires
@@ -55,20 +57,13 @@ from repro.frontend.source import SourceSpan
 from repro.fuzz.render import render_program
 from repro.instrument.compile import CompiledProgram
 from repro.instrument.regions import StaticRegion
+from repro.ir.instructions import BinOp, Store
 from repro.ir.values import Register
 from repro.parallel.reduction import ADDITIVE_OPS, INT_ONLY_OPS
 
 #: every identifier the rewrite injects starts with this prefix; programs
 #: that already use it are refused wholesale (name hygiene)
 PREFIX = "__kremlin"
-
-#: the four int control globals shared by all sites
-CONTROL_GLOBALS = (
-    "__kremlin_lo",
-    "__kremlin_hi",
-    "__kremlin_trip",
-    "__kremlin_site",
-)
 
 
 @dataclass(frozen=True)
@@ -385,44 +380,28 @@ def _check_live_out(
                     )
 
 
-_AST_OP_GROUP = {"+": "+", "-": "+", "*": "*", "&": "&", "|": "|", "^": "^"}
+#: reduction operators the executor combines exactly (the additive group
+#: collapses to '+': a worker partial of ``s -= x`` already carries the sign)
+_COMBINABLE_OPS = ADDITIVE_OPS | {"*"} | INT_ONLY_OPS
 
 
-def _detect_reduction_ops(loop: ast.ForStmt, name: str) -> str:
-    """Find the combining operator group for accumulator ``name`` by
-    scanning the loop body's assignments to it."""
-    groups: set[str] = set()
-    for stmt in ast.walk_stmts(loop.body):
-        if not isinstance(stmt, ast.AssignStmt):
-            continue
-        if not isinstance(stmt.target, ast.NameExpr):
-            continue
-        if stmt.target.name != name:
-            continue
-        if stmt.op in ("+=", "-="):
-            groups.add("+")
-        elif stmt.op == "*=":
-            groups.add("*")
-        elif stmt.op == "=":
-            value = stmt.value
-            if isinstance(value, ast.BinaryExpr) and value.op in _AST_OP_GROUP:
-                refs_self = any(
-                    isinstance(side, ast.NameExpr) and side.name == name
-                    for side in (value.left, value.right)
-                )
-                if refs_self:
-                    groups.add(_AST_OP_GROUP[value.op])
-                    continue
-            _refuse(f"reduction '{name}' has an uncombinable update form")
-        else:
-            _refuse(f"reduction '{name}' uses operator {stmt.op!r}")
-    if len(groups) != 1:
-        _refuse(
-            f"reduction '{name}' mixes operator groups {sorted(groups)}"
-            if groups
-            else f"reduction '{name}' has no visible update"
-        )
-    return groups.pop()
+def _reduction_op(
+    info: LoopDependenceInfo, analysis: ModuleAnalysis, fname: str, name: str
+) -> str:
+    """The combining operator of global reduction cell ``name``, read off
+    the analyzer's update: the cell's store, whose value's single
+    reaching definition is the combining ``BinOp``."""
+    store = info.reductions[name]
+    if not isinstance(store, Store):
+        # reduction-through-call: the update is inside the callee
+        _refuse(f"reduction '{name}' has no visible update")
+    defs = analysis.functions[fname].reaching.reaching(store, store.value)
+    update = next(iter(defs)).instr if len(defs) == 1 else None
+    if not isinstance(update, BinOp):
+        _refuse(f"reduction '{name}' has an uncombinable update form")
+    if update.op not in _COMBINABLE_OPS:
+        _refuse(f"reduction '{name}' uses operator {update.op!r}")
+    return "+" if update.op in ADDITIVE_OPS else update.op
 
 
 @dataclass
@@ -502,7 +481,7 @@ def _vet_site(
             continue
         if name in func_decl_names:
             _refuse(f"reduction global '{name}' is shadowed by a local")
-        op = _detect_reduction_ops(loop, name)
+        op = _reduction_op(info, analysis, fname, name)
         is_float = global_scalars[name].base == "float"
         if is_float and not allow_float_reductions:
             _refuse(
@@ -524,12 +503,7 @@ def _vet_site(
     # shipping; anything else must be a uniquely-declared scalar local.
     declared_inside = {d.name for d in _decls_in(loop)}
     global_names = {g.name for g in original.globals}
-    free = (
-        _names_in(loop)
-        - declared_inside
-        - global_names
-        - {canonical.counter}
-    )
+    free = _names_in(loop) - declared_inside - {canonical.counter}
     decl_types: dict[str, list[ast.TypeName]] = {}
     for param in func.params:
         decl_types.setdefault(param.name, []).append(param.type)
@@ -546,6 +520,12 @@ def _vet_site(
     env: list[tuple[str, ast.TypeName]] = []
     for name in sorted(free):
         types = decl_types.get(name)
+        if name in global_names:
+            if types:
+                # the outlined chunk would read the global where the
+                # loop may read the local
+                _refuse(f"free variable '{name}' shadows a global")
+            continue
         if not types:
             _refuse(f"cannot resolve free variable '{name}'")
         bases = {t.base for t in types} | {
@@ -580,28 +560,36 @@ def _int_type() -> ast.TypeName:
     return ast.TypeName("int")
 
 
+def _int_decl(span: SourceSpan, name: str, init: ast.Expr) -> ast.DeclStmt:
+    return ast.DeclStmt(span, [ast.VarDecl(span, name, _int_type(), init)])
+
+
 def _build_guarded_loop(
-    span: SourceSpan, loop: ast.ForStmt
+    span: SourceSpan, loop: ast.ForStmt, lower: bool
 ) -> ast.BlockStmt:
     """``{ int __kremlin_iter = 0; for (...) { iter += 1; if (lo < iter
-    <= hi) body; } }`` — mutates ``loop`` (wraps its body)."""
+    <= hi) body; } }`` — mutates ``loop`` (wraps its body). Without
+    ``lower`` the guard is ``iter <= hi`` (the master's chunk starts at 0).
+    """
     iter_name = f"{PREFIX}_iter"
     guard = ast.BinaryExpr(
         span,
-        "&&",
-        ast.BinaryExpr(
-            span,
-            ">",
-            ast.NameExpr(span, iter_name),
-            ast.NameExpr(span, f"{PREFIX}_lo"),
-        ),
-        ast.BinaryExpr(
-            span,
-            "<=",
-            ast.NameExpr(span, iter_name),
-            ast.NameExpr(span, f"{PREFIX}_hi"),
-        ),
+        "<=",
+        ast.NameExpr(span, iter_name),
+        ast.NameExpr(span, f"{PREFIX}_hi"),
     )
+    if lower:
+        guard = ast.BinaryExpr(
+            span,
+            "&&",
+            ast.BinaryExpr(
+                span,
+                ">",
+                ast.NameExpr(span, iter_name),
+                ast.NameExpr(span, f"{PREFIX}_lo"),
+            ),
+            guard,
+        )
     loop.body = ast.BlockStmt(
         span,
         [
@@ -615,26 +603,15 @@ def _build_guarded_loop(
         ],
     )
     return ast.BlockStmt(
-        span,
-        [
-            ast.DeclStmt(
-                span,
-                [
-                    ast.VarDecl(
-                        span, iter_name, _int_type(), ast.IntLiteral(span, 0)
-                    )
-                ],
-            ),
-            loop,
-        ],
+        span, [_int_decl(span, iter_name, ast.IntLiteral(span, 0)), loop]
     )
 
 
 def _build_counting_loop(
     span: SourceSpan, loop: ast.ForStmt, canonical: _CanonicalLoop
 ) -> list[ast.Stmt]:
-    """``trip = 0; for (T __kremlin_c = init; cond'; step') trip += 1;``
-    with the counter renamed so the pass clobbers nothing."""
+    """``int trip = 0; for (T __kremlin_c = init; cond'; step') trip +=
+    1;`` with the counter renamed so the pass clobbers nothing."""
     counter_name = f"{PREFIX}_c"
     trip = f"{PREFIX}_trip"
     init_expr = copy.deepcopy(canonical.init_expr)
@@ -659,44 +636,27 @@ def _build_counting_loop(
         span, ast.NameExpr(span, trip), "+=", ast.IntLiteral(span, 1)
     )
     return [
-        ast.AssignStmt(
-            span, ast.NameExpr(span, trip), "=", ast.IntLiteral(span, 0)
-        ),
+        _int_decl(span, trip, ast.IntLiteral(span, 0)),
         ast.ForStmt(span, count_init, cond, step, bump),
     ]
-
-
-def _env_global(site_index: int, slot: int) -> str:
-    return f"{PREFIX}_env{site_index}_{slot}"
 
 
 def _build_master_block(
     site_index: int, plan: _SitePlan, masked: ast.ForStmt
 ) -> ast.BlockStmt:
     span = plan.loop.span
-    stmts: list[ast.Stmt] = []
-    stmts.extend(_build_counting_loop(span, masked, plan.canonical))
-    for slot, (name, _type) in enumerate(plan.env):
-        stmts.append(
-            ast.AssignStmt(
-                span,
-                ast.NameExpr(span, _env_global(site_index, slot)),
-                "=",
-                ast.NameExpr(span, name),
-            )
-        )
+    stmts = _build_counting_loop(span, masked, plan.canonical)
+    fork_args: list[ast.Expr] = [
+        ast.IntLiteral(span, site_index),
+        ast.NameExpr(span, f"{PREFIX}_trip"),
+    ]
+    fork_args += [ast.NameExpr(span, name) for name, _type in plan.env]
     stmts.append(
-        ast.AssignStmt(
-            span,
-            ast.NameExpr(span, f"{PREFIX}_site"),
-            "=",
-            ast.IntLiteral(span, site_index),
+        _int_decl(
+            span, f"{PREFIX}_hi", ast.CallExpr(span, f"{PREFIX}_fork", fork_args)
         )
     )
-    stmts.append(
-        ast.ExprStmt(span, ast.CallExpr(span, f"{PREFIX}_fork", []))
-    )
-    stmts.append(_build_guarded_loop(span, masked))
+    stmts.append(_build_guarded_loop(span, masked, lower=False))
     stmts.append(
         ast.ExprStmt(span, ast.CallExpr(span, f"{PREFIX}_join", []))
     )
@@ -707,21 +667,12 @@ def _build_chunk_function(
     site_index: int, plan: _SitePlan, pristine: ast.ForStmt
 ) -> ast.FuncDecl:
     span = plan.loop.span
+    params = [
+        ast.Param(span, f"{PREFIX}_lo", _int_type()),
+        ast.Param(span, f"{PREFIX}_hi", _int_type()),
+    ]
+    params += [ast.Param(span, name, type_name) for name, type_name in plan.env]
     body: list[ast.Stmt] = []
-    for slot, (name, type_name) in enumerate(plan.env):
-        body.append(
-            ast.DeclStmt(
-                span,
-                [
-                    ast.VarDecl(
-                        span,
-                        name,
-                        type_name,
-                        ast.NameExpr(span, _env_global(site_index, slot)),
-                    )
-                ],
-            )
-        )
     if not plan.canonical.declares_counter:
         body.append(
             ast.DeclStmt(
@@ -736,12 +687,12 @@ def _build_chunk_function(
                 ],
             )
         )
-    body.append(_build_guarded_loop(span, pristine))
+    body.append(_build_guarded_loop(span, pristine, lower=True))
     return ast.FuncDecl(
         span,
         f"{PREFIX}_chunk{site_index}",
         ast.TypeName("void"),
-        [],
+        params,
         ast.BlockStmt(span, body),
     )
 
@@ -877,7 +828,6 @@ def plan_transform(
             None, program.filename, refused=tuple(refused)
         )
 
-    span = transformed.span
     for site_plan, spec in accepted:
         func = transformed.function(site_plan.region.function_name)
         masked = _find_loop(func, site_plan.region.span)
@@ -889,21 +839,6 @@ def plan_transform(
         )
         transformed.functions.append(
             _build_chunk_function(spec.index, site_plan, pristine)
-        )
-        for slot, (_name, type_name) in enumerate(site_plan.env):
-            zero = (
-                ast.FloatLiteral(span, 0.0)
-                if type_name.base == "float"
-                else ast.IntLiteral(span, 0)
-            )
-            transformed.globals.append(
-                ast.VarDecl(
-                    span, _env_global(spec.index, slot), type_name, zero
-                )
-            )
-    for name in CONTROL_GLOBALS:
-        transformed.globals.append(
-            ast.VarDecl(span, name, _int_type(), ast.IntLiteral(span, 0))
         )
     return TransformResult(
         source=render_program(transformed),

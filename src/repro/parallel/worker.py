@@ -1,8 +1,9 @@
 """Chunk execution in a pool worker (or inline, for tests and fuzzing).
 
 The payload crossing the process boundary is deliberately plain data
-(dicts, lists, numbers): the transformed *source text* plus the global
-state the chunk starts from.  Each worker process keeps one prepared
+(dicts, lists, numbers): the transformed *source text*, the global
+state the chunk starts from, and the chunk entry's arguments (its bounds
+and the site's free locals).  Each worker process keeps one prepared
 interpreter per (source hash, engine, budget); every
 :meth:`~repro.interp.interpreter.Interpreter.run` starts from fresh run
 state, so successive chunks of the same program reuse it, skip compile
@@ -29,6 +30,8 @@ class ChunkTask:
     site: int
     lo: int
     hi: int
+    #: the site's free locals, in the chunk entry's parameter order
+    env: tuple
     engine: str
     scalars: dict
     arrays: dict
@@ -89,21 +92,18 @@ def run_chunk(task: ChunkTask) -> ChunkOutcome:
     """Execute one chunk of one site and return the resulting state.
 
     The chunk's run starts from the shipped globals (reduction cells
-    arrive pre-reset to their identity) plus its site and bounds, and
-    calls the site's outlined ``__kremlin_chunkN`` entry point.
+    arrive pre-reset to their identity) and calls the site's outlined
+    ``__kremlin_chunkN(lo, hi, env...)`` entry point.
     """
     interp = _prepared(
         task.source, task.filename, task.engine, task.max_instructions
     )
-    scalars = dict(
-        task.scalars,
-        __kremlin_site=task.site,
-        __kremlin_lo=task.lo,
-        __kremlin_hi=task.hi,
-    )
     start = time.perf_counter()
     result = interp.run(
-        f"__kremlin_chunk{task.site}", scalars=scalars, arrays=task.arrays
+        f"__kremlin_chunk{task.site}",
+        (task.lo, task.hi, *task.env),
+        scalars=task.scalars,
+        arrays=task.arrays,
     )
     elapsed = time.perf_counter() - start
     state = interp.state

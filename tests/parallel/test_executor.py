@@ -137,7 +137,35 @@ class TestOutcomeProperties:
 
     def test_transformed_source_is_reported(self):
         outcome = execute(DOALL_AND_REDUCTION, workers=2)
-        assert "__kremlin_fork();" in outcome.transformed_source
+        assert (
+            "int __kremlin_hi = __kremlin_fork(0, __kremlin_trip);"
+            in outcome.transformed_source
+        )
+
+
+def execute_bench(name, workers):
+    from repro.bench_suite.registry import get_benchmark
+    from repro.instrument import kremlin_cc
+
+    program = kremlin_cc(get_benchmark(name).source, f"{name}.c")
+    with ParallelExecutor(
+        ParallelOptions(workers=workers, engine="compiled", mode="inline")
+    ) as executor:
+        return executor.execute(program)
+
+
+class TestRendezvousByValue:
+    """Chunk bounds reach the master's masked loop through fork's return
+    value, so the plain emitter's cache of loop-invariant global scalars
+    cannot serve it stale bounds (the corpus seed
+    seed-parallel-nested-site.c is the minimal case)."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_lu_executes_and_matches_serial(self, workers):
+        outcome = execute_bench("lu", workers)
+        assert outcome.mismatch is None
+        assert outcome.executed
+        assert outcome.dispatched_chunks > 0
 
 
 @pytest.mark.slow_parallel
@@ -166,3 +194,20 @@ class TestPoolExecution:
             == second.parallel_result.value
             == EXPECTED
         )
+
+
+@pytest.mark.slow_parallel
+@pytest.mark.parametrize("workers", [2, 3])
+def test_every_bench_program_matches_serial(workers):
+    """Inline compiled execution of all 13 bench programs: every program
+    with an accepted site executes and matches serial (ep has none)."""
+    from repro.bench_suite.registry import all_benchmarks
+
+    idle = []
+    for bench in all_benchmarks():
+        outcome = execute_bench(bench.name, workers)
+        assert outcome.mismatch is None, (bench.name, outcome.mismatch)
+        if not outcome.executed:
+            assert outcome.fallback_reason == "no executable sites"
+            idle.append(bench.name)
+    assert idle == ["ep"]

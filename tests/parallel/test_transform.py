@@ -60,22 +60,59 @@ class TestAcceptance:
 
     def test_rewritten_source_has_the_runtime_protocol(self):
         result = transform(DOALL_AND_REDUCTION)
-        assert "__kremlin_fork();" in result.source
         assert "__kremlin_join();" in result.source
         for site in result.sites:
             assert site.chunk_function == f"__kremlin_chunk{site.index}"
-            assert f"void {site.chunk_function}()" in result.source
-        # control globals the fork/join builtins drive
-        for name in ("__kremlin_lo", "__kremlin_hi", "__kremlin_trip", "__kremlin_site"):
-            assert f"int {name} = 0;" in result.source
+            # the rendezvous passes by value: fork takes the site and trip
+            # and returns the master's bound; chunks take theirs as
+            # parameters
+            assert (
+                f"int __kremlin_hi = __kremlin_fork({site.index}, "
+                "__kremlin_trip);" in result.source
+            )
+            assert (
+                f"void {site.chunk_function}(int __kremlin_lo, "
+                "int __kremlin_hi)" in result.source
+            )
+        # the rewrite declares no global of its own
+        from repro.frontend.parser import parse_program
+
+        rewritten = parse_program(result.source, "test.c")
+        assert [g.name for g in rewritten.globals] == ["out", "total"]
+
+    def test_free_locals_travel_as_fork_arguments_and_chunk_parameters(self):
+        result = transform(
+            """
+            int grid[4][8];
+            int main() {
+              int i;
+              int j;
+              float scale;
+              scale = 0.5;
+              for (i = 0; i < 4; i = i + 1) {
+                for (j = 0; j < 8; j = j + 1) { grid[i][j] = i * scale + j; }
+              }
+              return grid[3][7];
+            }
+            """
+        )
+        assert [s.region_name for s in result.sites] == ["main#loop1"]
+        assert result.sites[0].index == 0
+        # the outer site's free locals, sorted by name
+        assert "__kremlin_fork(0, __kremlin_trip, j, scale);" in result.source
+        assert (
+            "void __kremlin_chunk0(int __kremlin_lo, int __kremlin_hi, "
+            "int j, float scale)" in result.source
+        )
 
     def test_rewritten_source_still_compiles_and_runs_serially(self):
         result = transform(DOALL_AND_REDUCTION)
         from repro.interp import Interpreter
 
         rewritten = kremlin_cc(result.source, "test.c", analyze=False)
-        # without a policy, fork's serial default (lo=0, hi=trip) makes the
-        # transformed program equivalent to the original
+        # without a policy, fork returns the whole trip as the master's
+        # bound, which makes the transformed program equivalent to the
+        # original
         run = Interpreter(rewritten, engine="compiled").run("main")
         assert run.value == sum(i * 3 for i in range(64))
 
@@ -97,6 +134,54 @@ class TestAcceptance:
         hinted = [s for s in result.sites if s.region_id in planned_ids]
         assert hinted
         assert all(site.chunk_hint >= 1 for site in hinted)
+
+
+class TestReductionOperator:
+    """The combining operator is read off the analyzer's update."""
+
+    @pytest.mark.parametrize(
+        "update, op",
+        [
+            ("acc = acc + a[i];", "+"),
+            ("acc += a[i];", "+"),
+            ("acc = acc - a[i];", "+"),
+            ("acc -= a[i];", "+"),
+            ("acc = acc * a[i];", "*"),
+            ("acc *= a[i];", "*"),
+            ("acc = a[i] & acc;", "&"),
+            ("acc = acc | a[i];", "|"),
+            ("acc = acc ^ a[i];", "^"),
+        ],
+    )
+    def test_global_cell_operator(self, update, op):
+        result = transform(
+            f"""
+            int a[16];
+            int acc;
+            int main() {{
+              int i;
+              for (i = 0; i < 16; i = i + 1) {{ a[i] = i + 1; }}
+              for (i = 0; i < 16; i = i + 1) {{ {update} }}
+              return acc;
+            }}
+            """
+        )
+        assert [s.region_name for s in result.sites] == [
+            "main#loop1",
+            "main#loop2",
+        ]
+        assert [(r.name, r.op) for r in result.sites[1].reductions] == [
+            ("acc", op)
+        ]
+
+    def test_reduction_through_a_call_has_no_visible_update(self):
+        from pathlib import Path
+
+        example = Path(__file__).parents[2] / "examples" / "call_in_loop.c"
+        result = transform(example.read_text(), "call_in_loop.c")
+        assert [r.reason for r in result.refused] == [
+            "reduction 'total' has no visible update"
+        ]
 
 
 class TestRefusals:
@@ -135,6 +220,27 @@ class TestRefusals:
         assert not result.sites
         assert [r.reason for r in result.refused] == [
             "loop has no global side effects"
+        ]
+
+    def test_local_shadowing_a_read_global_refused(self):
+        # the loop reads main's local k; an outlined chunk would read the
+        # global k instead, and chunked runs would diverge from serial
+        result = transform(
+            """
+            int k = 3;
+            int out[64];
+            int main() {
+              int i;
+              int k;
+              k = 5;
+              for (i = 0; i < 64; i = i + 1) { out[i] = i * k; }
+              return out[63];
+            }
+            """
+        )
+        assert not result.sites
+        assert [r.reason for r in result.refused] == [
+            "free variable 'k' shadows a global"
         ]
 
     def test_float_reduction_refused_by_default(self):

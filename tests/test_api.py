@@ -211,6 +211,38 @@ class TestUnifiedExecuteOptions(unittest.TestCase):
         )
 
 
+class TestExecuteTrace(unittest.TestCase):
+    def test_parallel_run_has_its_own_span_name(self):
+        # the profiled run owns `execute` (under `analyze`); the parallel
+        # backend's run is a separate root named `parallel.execute`
+        from repro import ParallelOptions
+        from repro.obs.trace import Tracer
+
+        tracer = Tracer()
+        report = KremlinSession(
+            execute_options=ParallelOptions(workers=2, mode="inline"),
+            tracer=tracer,
+        ).execute(PARALLEL_SOURCE)
+        self.assertTrue(report.outcome.executed)
+        spans = tracer.spans
+        names = {span.index: span.name for span in spans}
+        roots = [span.name for span in spans if span.parent is None]
+        self.assertEqual(roots, ["analyze", "parallel.execute"])
+        self.assertEqual(
+            [names[s.parent] for s in spans if s.name == "execute"],
+            ["analyze"],
+        )
+        children = [
+            span.name
+            for span in spans
+            if span.parent is not None
+            and names[span.parent] == "parallel.execute"
+        ]
+        self.assertIn("parallel.serial", children)
+        self.assertIn("parallel.run", children)
+        self.assertNotIn("execute", children)
+
+
 class TestParallelPathCompileCache(unittest.TestCase):
     def test_execute_routes_transformed_compile_through_cache(self):
         from repro import ParallelOptions
