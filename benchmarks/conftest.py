@@ -7,7 +7,10 @@ benchmark programs takes ~1 minute and is done once per session; the
 (planning, aggregation, simulation) on top of the shared profiles.
 
 Regenerated tables are also written to ``benchmarks/results/<id>.txt`` so a
-full run leaves the paper-shaped artifacts on disk.
+full run leaves the paper-shaped artifacts on disk. The checked-in tables are
+goldens: a regenerated table that differs from its checked-in file fails its
+test, after the new text is written so ``git diff`` shows what moved. Tables
+that hold timings (``UNGATED``) are written but not compared.
 """
 
 from __future__ import annotations
@@ -55,7 +58,17 @@ def best_speedups(suite, kremlin_plans):
     return out
 
 
+#: tables whose numbers are wall-clock timings, different on every run
+UNGATED = frozenset({"sec44_overhead"})
+
+
 def write_result(experiment_id: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{experiment_id}.txt"
+    golden = path.read_text(encoding="utf-8") if path.exists() else None
     path.write_text(text + "\n", encoding="utf-8")
+    if experiment_id not in UNGATED and golden != text + "\n":
+        pytest.fail(
+            f"{path.name} differs from its checked-in golden; "
+            f"see git diff {path}"
+        )

@@ -13,10 +13,12 @@ dispatch to:
   bounds and the locals as entry arguments (reduction cells reset to
   their identity), and return chunk 0's bound to the master's masked
   loop.
-* **join** — collect worker outcomes and three-way merge: each worker's
-  array diff (vs the fork snapshot) is applied in place; two writers
-  disagreeing on one element, or any unexpected scalar write, aborts.
-  Reduction partials fold into the master's cell in chunk order.
+* **join** — collect worker outcomes (each returns only the site's
+  write set) and three-way merge them, comparing with
+  :func:`same_value`: an element a worker changed against the fork
+  snapshot is applied in place; two writers disagreeing on one
+  element, or any unexpected scalar write, aborts. Reduction partials
+  fold into the master's cell in chunk order.
 
 Every failure path — a refused transform, a worker crash, a merge
 conflict, an interpreter fault in the rewritten program — degrades to
@@ -28,9 +30,10 @@ differential lane turns that field into a hard failure.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.instrument.compile import CompiledProgram, kremlin_cc
@@ -51,7 +54,12 @@ from repro.parallel.transform import (
     TransformResult,
     plan_transform,
 )
-from repro.parallel.worker import ChunkTask, run_chunk, warm_worker
+from repro.parallel.worker import (
+    ChunkTask,
+    execute_chunk,
+    run_chunk,
+    warm_worker,
+)
 
 #: pool start methods we accept (inline = no pool, chunks run in-process)
 MODES = ("fork", "spawn", "inline")
@@ -64,6 +72,18 @@ MIN_TRIP = 2
 
 class ParallelAbort(Exception):
     """Chunked execution cannot proceed safely; fall back to serial."""
+
+
+def same_value(a, b) -> bool:
+    """Exact equality of interpreter values: agrees with ``repr``
+    equality on int, float and None (NaN equals NaN, ``-0.0`` differs
+    from ``0.0``, ``1`` from ``1.0``) with no tolerance to hide real
+    divergence."""
+    if type(a) is not type(b):
+        return False
+    if a == b:
+        return a != 0 or math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a != a and b != b
 
 
 @dataclass(frozen=True)
@@ -85,7 +105,6 @@ class SiteStats:
 
     spec: SiteSpec
     entries: int = 0
-    iterations: int = 0
     dispatched_chunks: int = 0
     worker_seconds: float = 0.0
 
@@ -116,8 +135,14 @@ class ExecutionOutcome:
     #: the analyzer, the transform, or the merge. Serial result stands.
     mismatch: str | None = None
     site_stats: list[SiteStats] = field(default_factory=list)
-    dispatched_chunks: int = 0
-    worker_busy_seconds: float = 0.0
+
+    @property
+    def dispatched_chunks(self) -> int:
+        return sum(stats.dispatched_chunks for stats in self.site_stats)
+
+    @property
+    def worker_busy_seconds(self) -> float:
+        return sum(stats.worker_seconds for stats in self.site_stats)
 
     @property
     def executed(self) -> bool:
@@ -140,10 +165,8 @@ class ExecutionOutcome:
     def output_identical(self) -> bool:
         if self.parallel_result is None:
             return False
-        return (
-            self.parallel_result.output == self.serial_result.output
-            and repr(self.parallel_result.value)
-            == repr(self.serial_result.value)
+        return self.parallel_result.output == self.serial_result.output and (
+            same_value(self.parallel_result.value, self.serial_result.value)
         )
 
     @property
@@ -161,28 +184,27 @@ class ExecutionOutcome:
 # ----------------------------------------------------------------------
 
 
-class _ImmediateFuture:
-    def __init__(self, fn, arg):
-        try:
-            self._value, self._error = fn(arg), None
-        except Exception as exc:  # re-raised at result(), like a Future
-            self._value, self._error = None, exc
-
-    def result(self):
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 class _InlineTransport:
-    """Chunks run sequentially in-process: no pool, no pickling, full
-    parallel-semantics coverage. This is what the fuzz lane uses."""
+    """Chunks run sequentially in-process on a second interpreter over
+    the executor's compiled transformed program: no pool, no pickling,
+    no second compile, full parallel-semantics coverage. This is what
+    the fuzz lane uses."""
 
-    def submit(self, task: ChunkTask):
-        return _ImmediateFuture(run_chunk, task)
+    interp: Interpreter | None = None
 
-    def warm(self, source, filename, engine, max_instructions) -> None:
-        warm_worker(source, filename, engine, max_instructions)
+    def submit(self, task: ChunkTask) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(execute_chunk(self.interp, task))
+        except Exception as exc:  # re-raised at result(), like a pool's
+            future.set_exception(exc)
+        return future
+
+    def warm(self, program, engine, max_instructions) -> None:
+        self.interp = Interpreter(
+            program, engine=engine, max_instructions=max_instructions
+        )
+        self.interp.prepare()
 
     def close(self) -> None:
         pass
@@ -199,15 +221,16 @@ class _PoolTransport:
         self.workers = workers
 
     def submit(self, task: ChunkTask):
-        return self.pool.submit(run_chunk, task)
+        return self.pool.submit(run_chunk, self.program, task)
 
-    def warm(self, source, filename, engine, max_instructions) -> None:
+    def warm(self, program, engine, max_instructions) -> None:
+        self.program = (
+            program.source, program.filename, engine, max_instructions
+        )
         # best-effort: one warmup task per worker slot so most workers
         # compile (and codegen) the program before the timed run
         futures = [
-            self.pool.submit(
-                warm_worker, source, filename, engine, max_instructions
-            )
+            self.pool.submit(warm_worker, *self.program)
             for _ in range(self.workers)
         ]
         for future in futures:
@@ -240,20 +263,12 @@ class _ExecutorPolicy:
         self,
         sites: tuple[SiteSpec, ...],
         transport,
-        source: str,
-        filename: str,
-        engine: str,
         workers: int,
-        max_instructions: int | None,
         stats: dict[int, SiteStats],
     ):
         self.sites = {site.index: site for site in sites}
         self.transport = transport
-        self.source = source
-        self.filename = filename
-        self.engine = engine
         self.workers = workers
-        self.max_instructions = max_instructions
         self.stats = stats
         self.stack: list[_PendingEntry] = []
 
@@ -263,18 +278,22 @@ class _ExecutorPolicy:
         site = self.sites[site_index]
         stats = self.stats[site.index]
         stats.entries += 1
-        stats.iterations += trip
         if trip < MIN_TRIP or self.workers < 2:
             chunks = [(0, trip)]
         else:
             chunks = partition_iterations(trip, min(self.workers, trip))
-        snapshot_arrays = {
-            name: list(storage.data)
-            for name, storage in interp.state.arrays.items()
-        }
         futures: list = []
-        ship_scalars = dict(interp.state.scalars)
+        ship_scalars: dict = {}
+        snapshot_arrays: dict = {}
         if len(chunks) > 1:
+            # every array is copied: workers read any of them, and a pool
+            # pickles the task after submit returns, while the master's
+            # masked loop is already writing
+            snapshot_arrays = {
+                name: list(storage.data)
+                for name, storage in interp.state.arrays.items()
+            }
+            ship_scalars = dict(interp.state.scalars)
             for spec in site.reductions:
                 ship_scalars[spec.name] = identity_for(
                     spec.op, ship_scalars[spec.name]
@@ -283,16 +302,13 @@ class _ExecutorPolicy:
                 futures.append(
                     self.transport.submit(
                         ChunkTask(
-                            source=self.source,
-                            filename=self.filename,
                             site=site.index,
                             lo=lo,
                             hi=hi,
                             env=env,
-                            engine=self.engine,
                             scalars=ship_scalars,
                             arrays=snapshot_arrays,
-                            max_instructions=self.max_instructions,
+                            writes=site.writes,
                         )
                     )
                 )
@@ -320,7 +336,7 @@ class _ExecutorPolicy:
                 raise
             except Exception as exc:
                 raise ParallelAbort(f"worker chunk failed: {exc}") from exc
-        self._merge(interp, entry, outcomes)
+        _merge(interp.state, entry, outcomes)
         end = time.perf_counter()
         stats = self.stats[entry.site.index]
         tracer = get_tracer()
@@ -352,55 +368,44 @@ class _ExecutorPolicy:
                     outcome.seconds
                 )
 
-    def _merge(self, interp, entry: _PendingEntry, outcomes) -> None:
-        """Three-way merge of worker states into the master.
 
-        ``repr`` equality is the diff predicate: exact for ints and
-        floats (including NaN and -0.0), with no tolerance to hide real
-        divergence.
-        """
-        reduction_ops = {
-            spec.name: spec.op for spec in entry.site.reductions
-        }
-        applied: dict[tuple[str, int], str] = {}
-        for name, storage in interp.state.arrays.items():
+def _merge(state, entry: _PendingEntry, outcomes) -> None:
+    """Three-way merge of worker outcomes into the master's run state,
+    one pass per worker over the site's write set.
+
+    A worker element that differs from the fork snapshot is applied
+    unless the live element (the master's, or an earlier worker's)
+    already differs from both. A write set missing an array loses its
+    writes, which the final comparison with serial records as a mismatch.
+    """
+    reduction_ops = {spec.name: spec.op for spec in entry.site.reductions}
+    partials: dict[str, list] = {name: [] for name in reduction_ops}
+    for outcome in outcomes:
+        for name in entry.site.writes:
             snapshot = entry.snapshot_arrays[name]
-            data = storage.data
-            for index in range(len(data)):
-                if repr(data[index]) != repr(snapshot[index]):
-                    applied[(name, index)] = repr(data[index])
-        partials: dict[str, list] = {name: [] for name in reduction_ops}
-        for outcome in outcomes:
-            for name, values in outcome.arrays.items():
-                snapshot = entry.snapshot_arrays[name]
-                storage = interp.state.arrays[name]
-                for index, value in enumerate(values):
-                    rendered = repr(value)
-                    if rendered == repr(snapshot[index]):
-                        continue
-                    key = (name, index)
-                    previous = applied.get(key)
-                    if previous is not None and previous != rendered:
-                        raise ParallelAbort(
-                            f"conflicting writes to {name}[{index}] "
-                            f"({previous} vs {rendered})"
-                        )
-                    storage.data[index] = value
-                    applied[key] = rendered
-            for name, value in outcome.scalars.items():
-                shipped = entry.ship_scalars.get(name)
-                if repr(value) == repr(shipped):
+            live = state.arrays[name].data
+            for index, value in enumerate(outcome.arrays[name]):
+                before = snapshot[index]
+                if value is before or same_value(value, before):
                     continue
-                if name in reduction_ops:
-                    partials[name].append(value)
-                    continue
-                raise ParallelAbort(
-                    f"unexpected worker write to scalar '{name}'"
-                )
-        for name, op in reduction_ops.items():
-            interp.state.scalars[name] = combine_partials(
-                op, interp.state.scalars[name], partials[name]
-            )
+                held = live[index]
+                if not (same_value(held, before) or same_value(held, value)):
+                    raise ParallelAbort(
+                        f"conflicting writes to {name}[{index}] "
+                        f"({held!r} vs {value!r})"
+                    )
+                live[index] = value
+        for name, value in outcome.scalars.items():
+            if same_value(value, entry.ship_scalars.get(name)):
+                continue
+            if name in reduction_ops:
+                partials[name].append(value)
+                continue
+            raise ParallelAbort(f"unexpected worker write to scalar '{name}'")
+    for name, op in reduction_ops.items():
+        state.scalars[name] = combine_partials(
+            op, state.scalars[name], partials[name]
+        )
 
 
 # ----------------------------------------------------------------------
@@ -422,17 +427,17 @@ def _diff_states(
     serial_scalars, serial_arrays = serial
     parallel_scalars, parallel_arrays = parallel
     for name in sorted(set(serial_scalars) | set(parallel_scalars)):
-        left = repr(serial_scalars.get(name))
-        right = repr(parallel_scalars.get(name))
-        if left != right:
-            return f"global {name}: serial={left} parallel={right}"
+        left = serial_scalars.get(name)
+        right = parallel_scalars.get(name)
+        if not same_value(left, right):
+            return f"global {name}: serial={left!r} parallel={right!r}"
     for name in sorted(set(serial_arrays) | set(parallel_arrays)):
         left_arr = serial_arrays.get(name, [])
         right_arr = parallel_arrays.get(name, [])
         if len(left_arr) != len(right_arr):
             return f"array {name}: length differs"
         for index, (lv, rv) in enumerate(zip(left_arr, right_arr)):
-            if repr(lv) != repr(rv):
+            if not same_value(lv, rv):
                 return (
                     f"array {name}[{index}]: "
                     f"serial={lv!r} parallel={rv!r}"
@@ -558,16 +563,12 @@ class ParallelExecutor:
             return outcome
 
         transport = self.transport()
-        # Pre-compile the transformed source in each pool worker before
-        # timing the parallel run (excluded from measured speedup; see
+        # Prepare the chunk interpreter (inline) or pre-compile the
+        # transformed source in each pool worker before timing the
+        # parallel run (excluded from measured speedup; see
         # docs/PARALLEL.md "Methodology").
         try:
-            transport.warm(
-                transform.source,
-                program.filename,
-                options.engine,
-                options.max_instructions,
-            )
+            transport.warm(rewritten, options.engine, options.max_instructions)
         except Exception as exc:
             outcome.fallback = True
             outcome.fallback_reason = f"pool warmup failed: {exc}"
@@ -580,11 +581,7 @@ class ParallelExecutor:
         policy = _ExecutorPolicy(
             sites=transform.sites,
             transport=transport,
-            source=transform.source,
-            filename=program.filename,
-            engine=options.engine,
             workers=self.workers,
-            max_instructions=options.max_instructions,
             stats=stats,
         )
         parallel_interp = Interpreter(
@@ -611,12 +608,6 @@ class ParallelExecutor:
         outcome.parallel_result = parallel_result
         outcome.parallel_seconds = parallel_seconds
         outcome.site_stats = list(stats.values())
-        outcome.dispatched_chunks = sum(
-            s.dispatched_chunks for s in stats.values()
-        )
-        outcome.worker_busy_seconds = sum(
-            s.worker_seconds for s in stats.values()
-        )
         parallel_state = _state_snapshot(parallel_interp)
         outcome.parallel_scalars, outcome.parallel_arrays = parallel_state
 

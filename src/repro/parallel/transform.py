@@ -40,7 +40,10 @@ proves iterations independent, but chunked masking additionally requires
 that the trip count be recountable (canonical ``for`` shape, effect-free
 init/cond/step) and that no loop-written scalar other than the counter be
 observable after the loop.  Anything the vet refuses falls back to serial
-execution with a recorded reason.
+execution with a recorded reason.  The vet also records each accepted
+site's write set (``SiteSpec.writes``): the global arrays the loop may
+store, read off the analyzer's accesses, which are the only arrays the
+executor takes back from workers and merges.
 """
 
 from __future__ import annotations
@@ -86,8 +89,10 @@ class SiteSpec:
     location: str
     verdict: str
     reductions: tuple[ReductionSpec, ...] = ()
-    #: planner chunking hint (min(SP, avg iterations)); 0 = no profile
-    chunk_hint: int = 0
+    #: global arrays the loop may store, directly or through a callee's
+    #: mod/ref summary, sorted: the only arrays workers return and the
+    #: join merges
+    writes: tuple[str, ...] = ()
 
     @property
     def chunk_function(self) -> str:
@@ -375,7 +380,7 @@ def _check_live_out(
                     )
                 if any(d.block in loop_blocks for d in defs):
                     _refuse(
-                        f"loop-written scalar '{operand.name or operand!r}' "
+                        f"loop-written scalar '{operand.name or operand}' "
                         "is live after the loop"
                     )
 
@@ -406,13 +411,12 @@ def _reduction_op(
 
 @dataclass
 class _SitePlan:
+    spec: SiteSpec
     region: StaticRegion
     loop: ast.ForStmt
     canonical: _CanonicalLoop
     #: free local scalars to ship to workers, (name, type) sorted by name
     env: list[tuple[str, ast.TypeName]] = field(default_factory=list)
-    reductions: tuple[ReductionSpec, ...] = ()
-    chunk_hint: int = 0
 
 
 def _vet_site(
@@ -421,6 +425,7 @@ def _vet_site(
     original: ast.Program,
     region: StaticRegion,
     allow_float_reductions: bool,
+    index: int,
 ) -> _SitePlan:
     fname = region.function_name
     try:
@@ -448,7 +453,7 @@ def _vet_site(
         if (register.name or "") != canonical.counter:
             _refuse(
                 f"secondary induction variable "
-                f"'{register.name or register!r}' advances in the body"
+                f"'{register.name or register}' advances in the body"
             )
     if canonical.counter not in {r.name for r in info.inductions}:
         _refuse(f"counter '{canonical.counter}' is not a proven induction")
@@ -456,8 +461,10 @@ def _vet_site(
     _check_live_out(info, analysis, fname)
 
     # All array traffic must hit global storage: globals are shipped to
-    # workers and merged back; locals have no transport.
+    # workers and the arrays the loop stores are merged back; locals have
+    # no transport.
     stores_global = False
+    writes: set[str] = set()
     for access in info.accesses:
         if access.obj.kind != "global":
             _refuse(
@@ -465,6 +472,8 @@ def _vet_site(
             )
         if access.is_store:
             stores_global = True
+            if access.obj.is_array:
+                writes.add(access.obj.key[1])
 
     # Reductions: global int cells with a single visible operator group.
     global_scalars = {
@@ -542,13 +551,17 @@ def _vet_site(
             _refuse(f"cannot resolve counter '{canonical.counter}'")
         canonical.counter_type = ast.TypeName(types[0].base)
 
-    return _SitePlan(
-        region=region,
-        loop=loop,
-        canonical=canonical,
-        env=env,
+    spec = SiteSpec(
+        index=index,
+        region_id=region.id,
+        region_name=region.name,
+        function=region.function_name,
+        location=region.location,
+        verdict=region.verdict,
         reductions=tuple(specs),
+        writes=tuple(sorted(writes)),
     )
+    return _SitePlan(spec, region, loop, canonical, env)
 
 
 # ----------------------------------------------------------------------
@@ -641,13 +654,11 @@ def _build_counting_loop(
     ]
 
 
-def _build_master_block(
-    site_index: int, plan: _SitePlan, masked: ast.ForStmt
-) -> ast.BlockStmt:
+def _build_master_block(plan: _SitePlan, masked: ast.ForStmt) -> ast.BlockStmt:
     span = plan.loop.span
     stmts = _build_counting_loop(span, masked, plan.canonical)
     fork_args: list[ast.Expr] = [
-        ast.IntLiteral(span, site_index),
+        ast.IntLiteral(span, plan.spec.index),
         ast.NameExpr(span, f"{PREFIX}_trip"),
     ]
     fork_args += [ast.NameExpr(span, name) for name, _type in plan.env]
@@ -664,7 +675,7 @@ def _build_master_block(
 
 
 def _build_chunk_function(
-    site_index: int, plan: _SitePlan, pristine: ast.ForStmt
+    plan: _SitePlan, pristine: ast.ForStmt
 ) -> ast.FuncDecl:
     span = plan.loop.span
     params = [
@@ -690,7 +701,7 @@ def _build_chunk_function(
     body.append(_build_guarded_loop(span, pristine, lower=True))
     return ast.FuncDecl(
         span,
-        f"{PREFIX}_chunk{site_index}",
+        plan.spec.chunk_function,
         ast.TypeName("void"),
         params,
         ast.BlockStmt(span, body),
@@ -720,9 +731,9 @@ def _replace_stmt(
 # ----------------------------------------------------------------------
 
 
-def _candidate_regions(program: CompiledProgram, plan) -> list[tuple[StaticRegion, int]]:
-    """(region, chunk_hint) candidates, highest priority first."""
-    out: list[tuple[StaticRegion, int]] = []
+def _candidate_regions(program: CompiledProgram, plan) -> list[StaticRegion]:
+    """Candidate loop regions, highest priority first."""
+    out: list[StaticRegion] = []
     seen: set[int] = set()
     if plan is not None:
         for item in plan:
@@ -732,13 +743,13 @@ def _candidate_regions(program: CompiledProgram, plan) -> list[tuple[StaticRegio
             if not tag_is_safe(item.static_verdict) or item.refuted:
                 continue
             seen.add(region.id)
-            out.append((region, int(getattr(item, "chunk_hint", 0))))
+            out.append(region)
     for region in program.regions.loops():
         if region.id in seen:
             continue
         if tag_is_safe(region.verdict):
             seen.add(region.id)
-            out.append((region, 0))
+            out.append(region)
     return out
 
 
@@ -747,16 +758,15 @@ def plan_transform(
     plan=None,
     *,
     allow_float_reductions: bool = False,
-    max_sites: int | None = None,
 ) -> TransformResult:
     """Rewrite ``program``'s source for chunked execution of its safe
     loops.
 
     ``plan`` (a :class:`~repro.planner.plan.ParallelismPlan`) prioritizes
-    and annotates candidates; without one, every statically-safe loop
-    region is considered in region order.  Returns the rewritten source
-    plus accepted/refused site records; ``source`` is None when nothing
-    was accepted (caller runs the original serially).
+    candidates; without one, every statically-safe loop region is
+    considered in region order.  Returns the rewritten source plus
+    accepted/refused site records; ``source`` is None when nothing was
+    accepted (caller runs the original serially).
     """
     if program.analysis is None:
         return TransformResult(None, program.filename)
@@ -771,15 +781,13 @@ def plan_transform(
         )
     original = parse_program(program.source, program.filename)
     transformed = copy.deepcopy(original)
-    accepted: list[tuple[_SitePlan, SiteSpec]] = []
+    accepted: list[_SitePlan] = []
     refused: list[RefusedSite] = []
-    for region, chunk_hint in _candidate_regions(program, plan):
-        if max_sites is not None and len(accepted) >= max_sites:
-            break
+    for region in _candidate_regions(program, plan):
         overlap = next(
             (
-                site.region_name
-                for site_plan, site in accepted
+                site_plan.spec.region_name
+                for site_plan in accepted
                 if site_plan.region.function_name == region.function_name
                 and _spans_overlap(site_plan.region.span, region.span)
             ),
@@ -796,12 +804,15 @@ def plan_transform(
             )
             continue
         try:
-            site_plan = _vet_site(
-                program,
-                program.analysis,
-                original,
-                region,
-                allow_float_reductions,
+            accepted.append(
+                _vet_site(
+                    program,
+                    program.analysis,
+                    original,
+                    region,
+                    allow_float_reductions,
+                    len(accepted),
+                )
             )
         except _Refuse as refusal:
             refused.append(
@@ -809,40 +820,22 @@ def plan_transform(
                     region.id, region.name, region.location, refusal.reason
                 )
             )
-            continue
-        index = len(accepted)
-        site_plan.chunk_hint = chunk_hint
-        spec = SiteSpec(
-            index=index,
-            region_id=region.id,
-            region_name=region.name,
-            function=region.function_name,
-            location=region.location,
-            verdict=region.verdict,
-            reductions=site_plan.reductions,
-            chunk_hint=chunk_hint,
-        )
-        accepted.append((site_plan, spec))
     if not accepted:
         return TransformResult(
             None, program.filename, refused=tuple(refused)
         )
 
-    for site_plan, spec in accepted:
+    for site_plan in accepted:
         func = transformed.function(site_plan.region.function_name)
         masked = _find_loop(func, site_plan.region.span)
         assert isinstance(masked, ast.ForStmt)
         pristine = copy.deepcopy(masked)
-        master = _build_master_block(spec.index, site_plan, masked)
-        func.body = _replace_stmt(
-            func.body, site_plan.region.span, master
-        )
-        transformed.functions.append(
-            _build_chunk_function(spec.index, site_plan, pristine)
-        )
+        master = _build_master_block(site_plan, masked)
+        func.body = _replace_stmt(func.body, site_plan.region.span, master)
+        transformed.functions.append(_build_chunk_function(site_plan, pristine))
     return TransformResult(
         source=render_program(transformed),
         filename=program.filename,
-        sites=tuple(spec for _plan, spec in accepted),
+        sites=tuple(site_plan.spec for site_plan in accepted),
         refused=tuple(refused),
     )

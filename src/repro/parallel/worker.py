@@ -1,15 +1,17 @@
 """Chunk execution in a pool worker (or inline, for tests and fuzzing).
 
 The payload crossing the process boundary is deliberately plain data
-(dicts, lists, numbers): the transformed *source text*, the global
-state the chunk starts from, and the chunk entry's arguments (its bounds
-and the site's free locals).  Each worker process keeps one prepared
-interpreter per (source hash, engine, budget); every
-:meth:`~repro.interp.interpreter.Interpreter.run` starts from fresh run
-state, so successive chunks of the same program reuse it, skip compile
-and codegen entirely, and pass their shipped globals into ``run``.
+(dicts, lists, numbers): the transformed *source text* and a
+:class:`ChunkTask` holding the global state the chunk starts from, the
+chunk entry's arguments (its bounds and the site's free locals) and the
+site's write set, the only arrays the outcome carries back.  Each pool
+worker keeps one prepared interpreter per (source hash, engine, budget);
+every :meth:`~repro.interp.interpreter.Interpreter.run` starts from
+fresh run state, so successive chunks reuse it, skip compile and codegen
+entirely, and pass their shipped globals into ``run``.  The inline
+transport calls :func:`execute_chunk` on an interpreter over the program
+the executor already compiled.
 """
-
 from __future__ import annotations
 
 import hashlib
@@ -23,24 +25,23 @@ from repro.interp.interpreter import Interpreter
 
 @dataclass(frozen=True)
 class ChunkTask:
-    """Everything a worker needs to run one ``(lo, hi]`` chunk."""
+    """One ``(lo, hi]`` chunk of one site, with its starting state."""
 
-    source: str
-    filename: str
     site: int
     lo: int
     hi: int
     #: the site's free locals, in the chunk entry's parameter order
     env: tuple
-    engine: str
     scalars: dict
     arrays: dict
-    max_instructions: int | None = None
+    #: the site's write set: the arrays the outcome returns
+    writes: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class ChunkOutcome:
-    """A worker's result: final global state plus execution stats."""
+    """A worker's result: final global scalars, the written arrays and
+    execution stats."""
 
     site: int
     lo: int
@@ -52,7 +53,7 @@ class ChunkOutcome:
     pid: int
 
 
-#: per-process prepared interpreters, keyed by (source hash, engine,
+#: per-pool-worker prepared interpreters, keyed by (source hash, engine,
 #: budget); workers are reused across chunks, so every chunk after the
 #: first is compile- and codegen-free
 _PROGRAM_CACHE: dict[tuple, Interpreter] = {}
@@ -88,16 +89,21 @@ def warm_worker(
     return os.getpid()
 
 
-def run_chunk(task: ChunkTask) -> ChunkOutcome:
-    """Execute one chunk of one site and return the resulting state.
+def run_chunk(program: tuple, task: ChunkTask) -> ChunkOutcome:
+    """Pool entry: execute ``task`` on this worker's prepared interpreter
+    for ``program``, the ``(source, filename, engine, max_instructions)``
+    it was warmed with."""
+    return execute_chunk(_prepared(*program), task)
+
+
+def execute_chunk(interp: Interpreter, task: ChunkTask) -> ChunkOutcome:
+    """Execute one chunk of one site on ``interp`` (prepared over the
+    transformed program) and return the resulting state.
 
     The chunk's run starts from the shipped globals (reduction cells
     arrive pre-reset to their identity) and calls the site's outlined
     ``__kremlin_chunkN(lo, hi, env...)`` entry point.
     """
-    interp = _prepared(
-        task.source, task.filename, task.engine, task.max_instructions
-    )
     start = time.perf_counter()
     result = interp.run(
         f"__kremlin_chunk{task.site}",
@@ -112,7 +118,7 @@ def run_chunk(task: ChunkTask) -> ChunkOutcome:
         lo=task.lo,
         hi=task.hi,
         scalars=state.scalars,
-        arrays={name: storage.data for name, storage in state.arrays.items()},
+        arrays={name: state.arrays[name].data for name in task.writes},
         seconds=elapsed,
         instructions=result.instructions_retired,
         pid=os.getpid(),

@@ -105,21 +105,10 @@ class Planner:
         verdict = profile.region.verdict
         refuted = classification == "DOALL" and tag_refutes_doall(verdict)
         # The execution backend can act on a loop the analyzer proved
-        # safe; min(SP, avg iterations) bounds the useful chunk count.
+        # safe.
         executable = (
             profile.region.is_loop and tag_is_safe(verdict) and not refuted
         )
-        chunk_hint = 0
-        if executable:
-            chunk_hint = max(
-                1,
-                int(
-                    min(
-                        profile.self_parallelism,
-                        max(1.0, profile.average_iterations),
-                    )
-                ),
-            )
         cost = getattr(profile.region, "static_cost", None)
         static_sp = ""
         static_sp_delta = None
@@ -144,7 +133,6 @@ class Planner:
             # claim it can refute with a dependence witness.
             refuted=refuted,
             executable=executable,
-            chunk_hint=chunk_hint,
             static_sp=static_sp,
             static_sp_delta=static_sp_delta,
         )

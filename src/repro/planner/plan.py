@@ -30,9 +30,6 @@ class PlanItem:
     #: a loop with a safe (doall/reduction) verdict that was not refuted.
     #: The backend's own vet can still refuse it at transform time.
     executable: bool = False
-    #: chunking hint for the execution backend: the useful number of
-    #: chunks, min(self-parallelism, average iterations), 0 = unknown
-    chunk_hint: int = 0
     #: rendered static self-parallelism interval from the cost model
     #: (``""`` = unavailable, e.g. a profile loaded from disk; a trailing
     #: ``~`` marks an imprecise interval)

@@ -1,12 +1,23 @@
 """The parallel executor: chunked execution, verification, fallbacks."""
 
+import math
+from types import SimpleNamespace
+
 import pytest
 
+from repro.interp.interpreter import ArrayStorage
+from repro.parallel import executor as executor_module
 from repro.parallel.executor import (
     ExecutionOutcome,
+    ParallelAbort,
     ParallelExecutor,
     ParallelOptions,
+    _merge,
+    _PendingEntry,
+    same_value,
 )
+from repro.parallel.transform import ReductionSpec, SiteSpec
+from repro.parallel.worker import ChunkOutcome
 
 DOALL_AND_REDUCTION = """
 int out[64];
@@ -141,6 +152,182 @@ class TestOutcomeProperties:
             "int __kremlin_hi = __kremlin_fork(0, __kremlin_trip);"
             in outcome.transformed_source
         )
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestSameValue:
+    VALUES = [0, 1, -1, 2**70, 0.0, -0.0, 1.0, -1.0, 0.1, INF, -INF, NAN]
+    VALUES += [-NAN, None]
+
+    def test_agrees_with_repr_equality(self):
+        for left in self.VALUES:
+            for right in self.VALUES:
+                assert same_value(left, right) == (
+                    repr(left) == repr(right)
+                ), (left, right)
+
+
+def merge(live, snapshot, *workers, ship_scalars=None, reductions=()):
+    """Run the join's merge of ``workers`` (each ``(arrays, scalars)``)
+    into a master state holding ``live`` arrays; return that state."""
+    site = SiteSpec(
+        index=0,
+        region_id=1,
+        region_name="main#loop1",
+        function="main",
+        location="t.c:3",
+        verdict="doall",
+        reductions=reductions,
+        writes=tuple(sorted(snapshot)),
+    )
+    state = SimpleNamespace(arrays={}, scalars=dict(ship_scalars or {}))
+    for name, values in live.items():
+        state.arrays[name] = ArrayStorage(len(values), False)
+        state.arrays[name].data[:] = values
+    entry = _PendingEntry(
+        site=site,
+        trip=8,
+        chunks=[],
+        futures=[],
+        ship_scalars=dict(ship_scalars or {}),
+        snapshot_arrays=snapshot,
+        start=0.0,
+    )
+    outcomes = [
+        ChunkOutcome(0, 0, 1, scalars, arrays, 0.0, 0, 0)
+        for arrays, scalars in workers
+    ]
+    _merge(state, entry, outcomes)
+    return state
+
+
+class TestMerge:
+    """The join's merge on hand-built worker outcomes."""
+
+    def test_two_workers_writing_different_values_abort(self):
+        with pytest.raises(ParallelAbort) as info:
+            merge(
+                {"a": [0.0, 0.0]},
+                {"a": [0.0, 0.0]},
+                ({"a": [0.0, 1.5]}, {}),
+                ({"a": [0.0, 2.5]}, {}),
+            )
+        assert str(info.value) == "conflicting writes to a[1] (1.5 vs 2.5)"
+
+    def test_master_and_worker_disagreeing_abort(self):
+        with pytest.raises(ParallelAbort) as info:
+            merge({"a": [3.0]}, {"a": [0.0]}, ({"a": [4.0]}, {}))
+        assert str(info.value) == "conflicting writes to a[0] (3.0 vs 4.0)"
+
+    def test_equal_values_and_nan_over_nan_do_not_abort(self):
+        state = merge(
+            {"a": [0.0, NAN, 7.0]},
+            {"a": [0.0, 0.0, 0.0]},
+            ({"a": [5.0, float("nan"), 7.0]}, {}),
+            ({"a": [5.0, NAN, 0.0]}, {}),
+        )
+        data = state.arrays["a"].data
+        assert data[0] == 5.0 and data[2] == 7.0
+        assert math.isnan(data[1])
+
+    def test_negative_zero_over_zero_is_applied(self):
+        state = merge(
+            {"a": [0.0, 0.0]}, {"a": [0.0, 0.0]}, ({"a": [-0.0, 0.0]}, {})
+        )
+        assert repr(state.arrays["a"].data) == "[-0.0, 0.0]"
+
+    def test_stray_scalar_write_aborts(self):
+        with pytest.raises(
+            ParallelAbort, match="unexpected worker write to scalar 'g'"
+        ):
+            merge(
+                {"a": [0.0]},
+                {"a": [0.0]},
+                ({"a": [0.0]}, {"g": 1}),
+                ship_scalars={"g": 0},
+            )
+
+    def test_reduction_partials_fold_into_the_master_cell(self):
+        state = merge(
+            {"a": [0.0]},
+            {"a": [0.0]},
+            ({"a": [0.0]}, {"s": 4}),
+            ({"a": [0.0]}, {"s": 5}),
+            ship_scalars={"s": 3},
+            reductions=(ReductionSpec("s", "+", False),),
+        )
+        assert state.scalars["s"] == 12
+
+
+SIGNED_ZERO_AND_NAN = """
+float a[64];
+float b[64];
+
+int main() {
+  int i;
+  float big;
+  float nan;
+  big = 1.0;
+  for (i = 0; i < 1100; i = i + 1) { big = big * 2.0; }
+  nan = big - big;
+  for (i = 0; i < 64; i = i + 1) { b[i] = nan; }
+  for (i = 0; i < 64; i = i + 1) {
+    if (i % 2 == 0) { a[i] = -1.0 * 0.0; b[i] = nan; }
+    else { a[i] = nan; b[i] = 0.0 * -1.0; }
+  }
+  return 0;
+}
+"""
+
+WRITE_SET = """
+int a[32];
+int b[32];
+int c[32];
+int d[32];
+
+void put(int i) { c[i] = b[i] + 1; }
+
+int main() {
+  int i;
+  for (i = 0; i < 32; i = i + 1) { b[i] = i; }
+  for (i = 0; i < 32; i = i + 1) {
+    a[i] = b[i] * 2;
+    put(i);
+  }
+  return a[31] + c[31] + d[0];
+}
+"""
+
+
+class TestWriteSetMerge:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_signed_zero_and_nan_writes_match_serial(self, workers):
+        outcome = execute(SIGNED_ZERO_AND_NAN, workers=workers)
+        assert outcome.executed
+        assert outcome.mismatch is None
+        assert outcome.dispatched_chunks > 0
+        assert repr(outcome.parallel_arrays) == repr(outcome.serial_arrays)
+        assert repr(outcome.parallel_arrays["a"][:2]) == "[-0.0, nan]"
+
+    def test_chunks_return_exactly_the_site_write_set(self, monkeypatch):
+        returned = []
+        execute_chunk = executor_module.execute_chunk
+
+        def spy(interp, task):
+            outcome = execute_chunk(interp, task)
+            returned.append((task.site, sorted(outcome.arrays)))
+            return outcome
+
+        monkeypatch.setattr(executor_module, "execute_chunk", spy)
+        outcome = execute(WRITE_SET, workers=2)
+        assert outcome.executed
+        # the callee's store to c counts; reads of b and the untouched d
+        # do not travel back
+        assert [site.writes for site in outcome.sites] == [("b",), ("a", "c")]
+        assert returned == [(0, ["b"]), (1, ["a", "c"])]
 
 
 def execute_bench(name, workers):

@@ -116,25 +116,6 @@ class TestAcceptance:
         run = Interpreter(rewritten, engine="compiled").run("main")
         assert run.value == sum(i * 3 for i in range(64))
 
-    def test_max_sites_caps_acceptance(self):
-        result = transform(DOALL_AND_REDUCTION, max_sites=1)
-        assert len(result.sites) == 1
-
-    def test_sites_carry_chunk_hints_from_the_plan(self):
-        # without a plan the hint is 0 (unknown)
-        assert all(
-            site.chunk_hint == 0
-            for site in transform(DOALL_AND_REDUCTION).sites
-        )
-        from repro import KremlinSession
-
-        report = KremlinSession().analyze(PLAN_SCALE_SOURCE)
-        result = plan_transform(report.program, report.plan)
-        planned_ids = {item.region.id for item in report.plan}
-        hinted = [s for s in result.sites if s.region_id in planned_ids]
-        assert hinted
-        assert all(site.chunk_hint >= 1 for site in hinted)
-
 
 class TestReductionOperator:
     """The combining operator is read off the analyzer's update."""
@@ -241,6 +222,40 @@ class TestRefusals:
         assert not result.sites
         assert [r.reason for r in result.refused] == [
             "free variable 'k' shadows a global"
+        ]
+
+    def test_live_out_scalar_named_in_single_quotes(self):
+        result = transform(
+            """
+            int a[16];
+            int main() {
+              int i;
+              int sum;
+              sum = 0;
+              for (i = 0; i < 16; i = i + 1) { a[i] = i; sum = sum + i; }
+              return sum;
+            }
+            """
+        )
+        assert [r.reason for r in result.refused] == [
+            "loop-written scalar 'sum' is live after the loop"
+        ]
+
+    def test_secondary_induction_named_in_single_quotes(self):
+        result = transform(
+            """
+            int a[64];
+            int main() {
+              int i;
+              int j;
+              j = 0;
+              for (i = 0; i < 16; i = i + 1) { a[j] = i; j = j + 2; }
+              return a[2];
+            }
+            """
+        )
+        assert [r.reason for r in result.refused] == [
+            "secondary induction variable 'j' advances in the body"
         ]
 
     def test_float_reduction_refused_by_default(self):

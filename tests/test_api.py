@@ -242,6 +242,33 @@ class TestExecuteTrace(unittest.TestCase):
         self.assertIn("parallel.run", children)
         self.assertNotIn("execute", children)
 
+    def test_inline_chunks_reuse_the_compiled_transformed_program(self):
+        # the master and the inline chunk interpreter share the session's
+        # one compile of the transformed source
+        from repro import ParallelOptions
+        from repro.obs.trace import Tracer
+
+        tracer = Tracer()
+        report = KremlinSession(
+            execute_options=ParallelOptions(workers=2, mode="inline"),
+            tracer=tracer,
+        ).execute(PARALLEL_SOURCE)
+        self.assertTrue(report.outcome.executed)
+        spans = tracer.spans
+        by_index = {span.index: span for span in spans}
+
+        def under_parallel_execute(span):
+            while span.parent is not None:
+                span = by_index[span.parent]
+            return span.name == "parallel.execute"
+
+        compiles = [
+            span
+            for span in spans
+            if span.name == "compile" and under_parallel_execute(span)
+        ]
+        self.assertEqual(len(compiles), 1)
+
 
 class TestParallelPathCompileCache(unittest.TestCase):
     def test_execute_routes_transformed_compile_through_cache(self):
