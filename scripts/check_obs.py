@@ -38,8 +38,9 @@ EXPECTED_SPANS = {
     "lower",
     "verify",
     "instrument",
-    "execute",
-    "hcpa-update",
+    "prepare",
+    "run",
+    "hcpa-finalize",
     "aggregate",
     "compress",
     "plan",

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from repro.exec_model.machine import CORE_SWEEP, DEFAULT_MACHINE, MachineModel
 from repro.hcpa.aggregate import DOALL_RATIO
 from repro.hcpa.summaries import ParallelismProfile
+from repro.obs.trace import get_tracer
 
 
 @dataclass
@@ -144,9 +145,13 @@ def best_configuration(
     methodology: 'we determined the configuration with the best performance
     and report that number')."""
     best: SimulationResult | None = None
-    for cores in core_sweep:
-        result = simulate_plan(profile, plan_regions, machine.with_cores(cores))
-        if best is None or result.time < best.time:
-            best = result
-    assert best is not None
+    with get_tracer().span("simulate", configurations=len(core_sweep)) as span:
+        for cores in core_sweep:
+            result = simulate_plan(
+                profile, plan_regions, machine.with_cores(cores)
+            )
+            if best is None or result.time < best.time:
+                best = result
+        assert best is not None
+        span.args["best_cores"] = best.machine.cores
     return best

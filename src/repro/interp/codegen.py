@@ -24,11 +24,16 @@ Two flavors share the structurer and the statement generators:
   segment's resolved shadow entries — and only materialize when stored
   past a flush point. Dead shadow stores are elided by block liveness,
   consumed (dominated) events are skipped in the region fold, entries
-  resolve by a backward scan that prefix-closed validity stops at the
-  first matching tag, and folds raise vectors in place; const floors
+  resolve by one bisection of the current tags (tags tuples are strictly
+  increasing and validity is prefix-closed), and folds raise vectors in
+  place; const floors
   scan ``cps`` backward (vectors are non-increasing in depth), and
   control-stack reads and ``stack`` guards that a codegen-time dataflow
-  proves dead are not emitted. All of it is
+  proves dead are not emitted. A register's resolution is carried until
+  the register is redefined or a region exit shortens the tags it was
+  made against, and loop-invariant registers resolve once at loop entry
+  (docs/CODEGEN.md, "what codegen knows about shadow entries"). All of
+  it is
   value-exact: serialized profiles stay bit-identical to the tree
   engine's (the differential suite, fuzz matrix, and codegen-smoke CI
   job enforce it). Quickening is disabled in this flavor: every register
@@ -341,8 +346,11 @@ class _FunctionEmitter:
         lines.append(_PAD + f"if _d > {_MAX_CALL_DEPTH}:")
         lines.append(_PAD + "    raise InterpreterError(")
         lines.append(_PAD + "        'call stack exhausted (runaway recursion?)')")
-        if self.fused and self._pushes:
-            lines.append(_PAD + "control = []")
+        if self.fused:
+            lines.append(_PAD + "_cu = prof.tags")
+            lines.append(_PAD + "_dp = prof.tracked_depth")
+            if self._pushes:
+                lines.append(_PAD + "control = []")
         r_init = sorted(self.r_used - set(params))
         if r_init:
             lines.append(
@@ -394,6 +402,7 @@ class _FunctionEmitter:
         hoist = self._loop_hoist(loop)
         for name, local in hoist.items():
             out.append(pad + f"{local} = cells[{name!r}]")
+        self._enter_loop(out, pad, loop)
         body: list[str] = []
         self.hoist_maps.append(hoist)
         try:
@@ -410,10 +419,12 @@ class _FunctionEmitter:
         if not exits:
             return  # genuinely infinite loop: nothing ever follows
         if len(exits) == 1:
+            self._settle((nf, 0))
             self._goto(out, exits[0], stop, frame, indent)
             return
         for k, target in enumerate(exits):
             sub: list[str] = []
+            self._settle((nf, k))
             self._goto(sub, target, stop, frame, indent + 1)
             keyword = "if" if k == 0 else "elif"
             out.append(pad + f"{keyword} {var} == {k}:")
@@ -425,6 +436,7 @@ class _FunctionEmitter:
             # Falls through to wherever the join is emitted; the join is
             # shared between arms, so deferred counts settle here.
             self._flush_counts(out, pad)
+            self._arrive(stop)
             return
         if frame is not None:
             if target is frame.loop.header:
@@ -434,6 +446,7 @@ class _FunctionEmitter:
             if target not in frame.loop.blocks:
                 self._flush_counts(out, pad)
                 k = frame.exit_index(target)
+                self._arrive((frame, k))
                 out.append(pad + f"{frame.var} = {k}")
                 out.append(pad + "break")
                 return
@@ -482,11 +495,15 @@ class _FunctionEmitter:
         inline = join is not None and join is not stop
         arm_stop = join if inline else stop
         # Each arm inherits the same deferred-count balance and settles it
-        # on its own path; the shared join below restarts from zero.
+        # on its own path; the shared join below restarts from zero. Facts
+        # fork the same way and meet at the join.
         saved = (self.pend_ir, self.pend_ct)
+        facts = self._facts_save()
+        shadowed = self._expect(join) if inline else None
         then_sub: list[str] = []
         self._goto(then_sub, term.then_block, arm_stop, frame, indent + 1)
         self.pend_ir, self.pend_ct = saved
+        self._set_facts(facts)
         else_sub: list[str] = []
         self._goto(else_sub, term.else_block, arm_stop, frame, indent + 1)
         self.pend_ir = 0
@@ -505,6 +522,7 @@ class _FunctionEmitter:
             out += else_sub
         # both arms empty: degenerate branch straight to the join
         if inline:
+            self._settle(join, shadowed)
             self._goto(out, join, stop, frame, indent)
 
     # -- dispatch-loop fallback --------------------------------------------
@@ -518,6 +536,7 @@ class _FunctionEmitter:
         out.append(_PAD + "while True:")
         for k, block in enumerate(fn.blocks):
             out.append(pad2 + f"if _b == {k}:")
+            self._set_facts({})  # blocks are entered from anywhere
             frag: list[str] = []
             self._gen_head(frag, block)
             self._gen_instructions(frag, block)
@@ -546,6 +565,34 @@ class _FunctionEmitter:
                         term.span,
                     )
             out += [pad3 + line for line in frag]
+
+    # -- facts carried along the structured walk ---------------------------
+    #
+    # The fused flavor knows, at each point of the walk, which register
+    # shadow resolutions are still valid (see _FusedFunctionEmitter). The
+    # plain flavor has no such facts; these hooks are no-ops for it.
+
+    def _facts_save(self):
+        return None
+
+    def _set_facts(self, facts) -> None:
+        """Continue from ``facts`` (as :meth:`_facts_save` returned)."""
+
+    def _arrive(self, key) -> None:
+        """Control leaves for code emitted later under ``key``: a branch
+        join block, or a ``(loop frame, exit index)`` pair."""
+
+    def _expect(self, key):
+        """Start collecting arrivals at ``key``; returns the collection it
+        shadows, for :meth:`_settle` to restore."""
+        return None
+
+    def _settle(self, key, shadowed=None) -> None:
+        """Continue with the facts every arrival at ``key`` shares."""
+
+    def _enter_loop(self, out: list[str], pad: str, loop) -> None:
+        """Before ``while True:``: keep only facts valid on every entry to
+        the loop header."""
 
     # -- per-block pieces --------------------------------------------------
 
@@ -1000,9 +1047,10 @@ class _SymSource:
     ``entry`` sources (operand, memory-cell and control-top entries) hold
     a resolved ``(times, valid)`` pair in numbered locals behind an
     ``is not None`` guard; ``list`` is a fully materialized timestamp
-    vector (no guard, full depth)."""
+    vector (no guard, full depth). A ``uniform`` entry's times are all
+    equal (see :func:`_uniform_registers`)."""
 
-    __slots__ = ("kind", "tm", "vl", "guard", "origin")
+    __slots__ = ("kind", "tm", "vl", "guard", "origin", "uniform")
 
     def __init__(
         self,
@@ -1011,12 +1059,14 @@ class _SymSource:
         vl: str | None,
         guard: str | None,
         origin: "_SymTS | None" = None,
+        uniform: bool = False,
     ):
         self.kind = kind
         self.tm = tm
         self.vl = vl
         self.guard = guard
         self.origin = origin
+        self.uniform = uniform
 
 
 class _SymTS:
@@ -1125,7 +1175,9 @@ def _open_region_counts(function) -> tuple[dict, bool]:
 
     The flag is False when some region exit may run with none of the
     function's own regions open (IR mutated after instrumentation); it
-    could then pop a caller's region, so no count may be trusted."""
+    could then pop a caller's region, so no count may be trusted. It is
+    also False when two paths reach a block with different counts, so
+    a True flag makes every count exact."""
     counts = {function.entry: 0}
     balanced = True
     work = [function.entry]
@@ -1143,10 +1195,56 @@ def _open_region_counts(function) -> tuple[dict, bool]:
                     balanced = False
         for succ in block.terminator.successors:
             old = counts.get(succ)
+            if old is not None and n != old:
+                balanced = False
             if old is None or n < old:
                 counts[succ] = n
                 work.append(succ)
     return counts, balanced
+
+
+def _uniform_registers(function, info, ctrl_in, module_emitter) -> frozenset:
+    """Registers whose shadow entry, whenever set, has all times equal.
+
+    An event with no input at all (every operand served by earlier
+    input-free events of its segment, no memory cell, no live control
+    entry) yields a pure-const vector ``[c] * _dp``. A register every
+    definition of which is such an event — an induction update and its
+    copy, a constant — only ever holds uniform entries. This mirrors
+    the segment algebra: segments start at block entry and after every
+    region marker and user call, and instructions see the control
+    entries live at their block's entry once its joins have popped."""
+    uniform: dict[int, bool] = {}
+    for block in function.blocks:
+        live = ctrl_in[block].difference(info.pops_at.get(block, ()))
+        pure: set[int] = set()
+        for instr in block.instructions:
+            cls = type(instr)
+            if cls is RegionEnter or cls is RegionExit:
+                pure.clear()
+                continue
+            result = getattr(instr, "result", None)
+            if cls is Call and not instr.is_builtin:
+                pure.clear()
+                if type(result) is Register:
+                    uniform[result.index] = False
+                continue
+            if type(result) is not Register:
+                continue
+            cell = cls is Load and not (
+                type(instr.mem) is GlobalRef
+                and not module_emitter.is_array_global(instr.mem.name)
+                and instr.mem.name not in module_emitter.stored_scalars
+            )
+            index = result.index
+            if live or cell or not pure.issuperset(instr.shadow_ops):
+                pure.discard(index)
+                uniform[index] = False
+            else:
+                pure.add(index)
+                uniform.setdefault(index, True)
+    params = {p.index for p in function.params}
+    return frozenset(i for i, u in uniform.items() if u and i not in params)
 
 
 class _FusedFunctionEmitter(_FunctionEmitter):
@@ -1158,11 +1256,20 @@ class _FusedFunctionEmitter(_FunctionEmitter):
     observable — which keeps the fold order, and therefore the serialized
     profile, bit-identical to the tree engine's.
 
+    A register's shadow resolution lives in stable locals (``_er{i}``,
+    ``_tmr{i}``, ``_vlr{i}``) and is a *fact* carried along the walk
+    until the register is redefined or a region exit shortens the prefix
+    of ``_cu`` it was made against (:meth:`_kill_from`); loops resolve
+    their invariant registers once at entry (:meth:`_enter_loop`).
+    ``_cu``/``_dp`` (the profiler's tags and tracked depth) are locals
+    kept current by the region code and reloaded after every call.
+
     With metrics on, each flush also adds the segment's operand counts to
     ``fastpath.known_hits``/``fastpath.entry_resolutions`` and its fully
     stale resolutions to ``shadow.stale_evictions``. Those amounts are
     fixed at codegen time, so they cost one increment line each and leave
-    every other generated statement unchanged.
+    every other generated statement unchanged. A carried or elided
+    resolution counts wherever the tree profiler resolves.
     """
 
     fused = True
@@ -1176,6 +1283,9 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         self.info = m.instrumentation[function.name]
         self.live_out = _live_out_sets(function)
         self._ctrl_in = _control_live_in(function, self.info)
+        self._uniform = _uniform_registers(
+            function, self.info, self._ctrl_in, m
+        )
         self._pushes = any(self._ctrl_in.values())
         self._open_in = m.open_counts[function.name]
         self._balanced = m.regions_balanced
@@ -1183,6 +1293,11 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         # may be live, and how many of this function's regions are open.
         self._ctrl_live: frozenset = frozenset()
         self._open = 0
+        # Facts: register -> the open-region count its resolution was made
+        # at; arrivals: facts collected per join or loop exit (_arrive).
+        self._facts: dict[int, int] = {}
+        self._arrivals: dict = {}
+        self._reg_srcs: dict[int, _SymSource] = {}
         self._seg_reset()
 
     def _sreg(self, index: int) -> str:
@@ -1195,15 +1310,102 @@ class _FusedFunctionEmitter(_FunctionEmitter):
 
     def _reset_state(self) -> None:
         super()._reset_state()
+        self._facts = {}
+        self._arrivals.clear()
         self._seg_reset()
+
+    # -- carried resolutions ------------------------------------------------
+    #
+    # A resolution of register i made while ``n`` of the function's own
+    # regions are open depends only on ``s{i}`` and on the first ``n``
+    # own levels of ``_cu`` (plus the caller's): a region enter appends a
+    # fresh instance id no entry can carry, so the valid prefix and its
+    # clamp stay put, and a balanced call returns on the same stack. Only
+    # a redefinition of i or an exit closing level ``n`` or shallower can
+    # change it. Without exact, balanced region counts every call and
+    # exit forgets everything.
+
+    def _facts_save(self):
+        return dict(self._facts)
+
+    def _set_facts(self, facts) -> None:
+        self._facts = dict(facts)
+
+    def _arrive(self, key) -> None:
+        self._arrivals.setdefault(key, []).append(dict(self._facts))
+
+    def _expect(self, key):
+        return self._arrivals.pop(key, None)
+
+    def _settle(self, key, shadowed=None) -> None:
+        arrivals = self._arrivals.pop(key, [])
+        if shadowed is not None:
+            self._arrivals[key] = shadowed
+        facts: dict[int, int] = {}
+        if arrivals:
+            first, *rest = arrivals
+            for index, level in first.items():
+                for other in rest:
+                    found = other.get(index)
+                    if found is None:
+                        break
+                    level = max(level, found)
+                else:
+                    facts[index] = level
+        self._facts = facts
+
+    def _kill_from(self, level: int) -> None:
+        """Forget the facts made at ``level`` or deeper."""
+        self._facts = {i: n for i, n in self._facts.items() if n < level}
+
+    def _enter_loop(self, out: list[str], pad: str, loop) -> None:
+        defs: set[int] = set()
+        reads: set[int] = set()
+        floor = None  # facts at this level or deeper die in the loop
+        for block in loop.blocks:
+            n = self._open_in.get(block, 0)
+            for instr in block.instructions:
+                cls = type(instr)
+                result = getattr(instr, "result", None)
+                if type(result) is Register:
+                    defs.add(result.index)
+                if cls is RegionEnter:
+                    n += 1
+                elif cls is RegionExit or (
+                    cls is Call and not instr.is_builtin
+                ):
+                    # A call's arguments resolve in _call_shadows.
+                    if not self._balanced:
+                        floor = 0
+                    elif cls is RegionExit:
+                        floor = n if floor is None else min(floor, n)
+                        n -= 1
+                else:
+                    reads.update(instr.shadow_ops)
+            cond = getattr(block.terminator, "cond", None)
+            if type(cond) is Register:
+                reads.add(cond.index)
+        level = self._open_in.get(loop.header, 0) if self._balanced else 0
+        if floor is None or level < floor:
+            # Loop-invariant shadows: resolve once, before ``while True:``.
+            for index in sorted(reads - defs - self._facts.keys()):
+                lines: list[str] = []
+                self._reg_srcs[index] = self._entry_source(
+                    lines, self._sreg(index), f"r{index}",
+                    index in self._uniform,
+                )
+                out += [pad + line for line in lines]
+                self._facts[index] = level
+        if floor is not None:
+            self._kill_from(floor)
+        for index in defs:
+            self._facts.pop(index, None)
 
     # -- symbolic segment engine ------------------------------------------
 
     def _seg_reset(self) -> None:
         self._seg_known: dict[int, _SymTS] = {}
         self._seg_cost = 0
-        self._seg_loaded = False
-        self._src_reg: dict[int, _SymSource] = {}
         self._ctrl_source: _SymSource | None = None
         self._pending_sreg: dict[int, _SymTS] = {}
         self._seg_events: list[_SymTS] = []
@@ -1212,12 +1414,9 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         # number of operand reads the tree profiler resolves against it.
         self._seg_hits = 0
         self._seg_uses: dict[_SymSource, int] = {}
-
-    def _seg_load(self, lines) -> None:
-        if not self._seg_loaded:
-            lines.append("_cu = prof.tags")
-            lines.append("_dp = prof.tracked_depth")
-            self._seg_loaded = True
+        # Loads of never-stored scalar globals: resolutions of an entry
+        # that is always None, counted but not emitted.
+        self._seg_null = 0
 
     def _resolved(self, src: _SymSource) -> None:
         """Count one operand read resolved against ``src`` (metrics)."""
@@ -1234,7 +1433,6 @@ class _FusedFunctionEmitter(_FunctionEmitter):
     ) -> _SymTS:
         """One profiling event: merge the operands' timestamps (symbolic)
         and record the result for the segment's batched accounting."""
-        self._seg_load(lines)
         raw: dict[_SymSource, int] = {}
         const = 0
         conc_covers: list[dict] = []
@@ -1314,21 +1512,30 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         return self._materialize(lines, ts)
 
     def _reg_source(self, lines, index: int) -> _SymSource:
-        src = self._src_reg.get(index)
-        if src is None:
-            src = self._entry_source(lines, self._sreg(index))
-            self._src_reg[index] = src
-        return src
+        """Register ``index``'s resolution: the carried fact, or a new
+        one resolved here."""
+        if index not in self._facts:
+            self._reg_srcs[index] = self._entry_source(
+                lines, self._sreg(index), f"r{index}",
+                index in self._uniform,
+            )
+            self._facts[index] = self._open
+        return self._reg_srcs[index]
 
-    def _entry_source(self, lines, expr: str) -> _SymSource:
-        """Resolve entry ``expr`` once into numbered locals: the valid
-        prefix of :func:`~repro.kremlib.shadow.resolve_entry`, clamped to
-        the tracked depth. Validity is prefix-closed, so the first
-        matching tag found scanning down from ``min(len(times), _dp)``
-        ends the scan — usually at once."""
-        self._sym += 1
-        n = self._sym
-        e, tm, vl = f"_e{n}", f"_tm{n}", f"_vl{n}"
+    def _entry_source(
+        self, lines, expr: str, name=None, uniform=False
+    ) -> _SymSource:
+        """Resolve entry ``expr`` into locals (numbered, or named after
+        ``name``): the valid prefix of
+        :func:`~repro.kremlib.shadow.resolve_entry`, clamped to the
+        tracked depth. Validity is prefix-closed, so a tag matching at
+        the clamp settles it; otherwise the prefix is the number of
+        current tags up to the entry's last one (tags tuples are
+        strictly increasing), one ``_bisect``."""
+        if name is None:
+            self._sym += 1
+            name = self._sym
+        e, tm, vl = f"_e{name}", f"_tm{name}", f"_vl{name}"
         lines += [
             f"{e} = {expr}",
             f"if {e} is not None:",
@@ -1336,11 +1543,11 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             f"    {vl} = len({tm})",
             f"    if {vl} > _dp:",
             f"        {vl} = _dp",
-            "    if _tg is not _cu:",
-            f"        while {vl} and _tg[{vl} - 1] != _cu[{vl} - 1]:",
-            f"            {vl} -= 1",
+            f"    if _tg is not _cu and {vl} and "
+            f"_tg[{vl} - 1] != _cu[{vl} - 1]:",
+            f"        {vl} = _bisect(_cu, _tg[-1])",
         ]
-        return _SymSource("entry", tm, vl, f"{e} is not None")
+        return _SymSource("entry", tm, vl, f"{e} is not None", None, uniform)
 
     def _ctrl_src(self, lines) -> _SymSource:
         """The control-top entry, resolved once per segment."""
@@ -1363,27 +1570,30 @@ class _FusedFunctionEmitter(_FunctionEmitter):
                 f"_rg = _ActiveRegion({static_id}, prof._next_instance, True)",
                 "prof._next_instance += 1",
                 "stack.append(_rg)",
-                "prof.tags += (_rg.instance,)",
-                "prof.tracked_depth = len(stack)",
+                "prof.tags = _cu = _cu + (_rg.instance,)",
+                "_dp += 1",
+                "prof.tracked_depth = _dp",
                 "cps.append(0)",
             ]
             return
+        # The tracked depth is min(len(stack), maxd): a region is tracked
+        # exactly when the depth is still below the window.
         lines += [
-            f"_tk = len(stack) < {maxd}",
+            f"_tk = _dp < {maxd}",
             f"_rg = _ActiveRegion({static_id}, prof._next_instance, _tk)",
             "prof._next_instance += 1",
             "stack.append(_rg)",
-            "prof.tags += (_rg.instance,)",
-            "_td = len(stack)",
-            f"if _td > {maxd}:",
-            f"    _td = {maxd}",
-            "prof.tracked_depth = _td",
+            "prof.tags = _cu = _cu + (_rg.instance,)",
             "if _tk:",
+            "    _dp += 1",
+            "    prof.tracked_depth = _dp",
             "    cps.append(0)",
         ]
 
     def _gen_region_exit(self, lines, static_id) -> None:
         maxd = self._max_depth
+        # The exit shortens _cu below the level it closes.
+        self._kill_from(self._open if self._balanced else 0)
         if self._open:
             self._open -= 1
         else:
@@ -1398,19 +1608,20 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             "    raise ProfilerError(",
             f"        'unbalanced regions: exiting #{static_id} but '",
             "        '#%d is on top' % _rg.static_id)",
-            "prof.tags = prof.tags[:-1]",
+            "prof.tags = _cu = _cu[:-1]",
         ]
         if maxd == _UNLIMITED_DEPTH:
             lines += [
-                "prof.tracked_depth = len(stack)",
+                "_dp -= 1",
+                "prof.tracked_depth = _dp",
                 "_cp = cps.pop()",
             ]
         else:
             lines += [
-                "_td = len(stack)",
-                f"if _td > {maxd}:",
-                f"    _td = {maxd}",
-                "prof.tracked_depth = _td",
+                "_dp = len(stack)",
+                f"if _dp > {maxd}:",
+                f"    _dp = {maxd}",
+                "prof.tracked_depth = _dp",
                 "_cp = cps.pop() if _rg.tracked else _rg.work",
             ]
         lines += [
@@ -1494,6 +1705,16 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         if src.guard is not None:
             lines.append(pad + f"if {src.guard}:")
             pad += _PAD
+        if src.uniform:
+            # Equal times into a non-increasing target: the slots to
+            # raise are a suffix of the valid prefix.
+            lines += [
+                pad + f"_q = {bound} - 1",
+                pad + f"while _q >= 0 and {target}[_q] < {term}:",
+                pad + f"    {target}[_q] = {term}",
+                pad + "    _q -= 1",
+            ]
+            return
         lines += [
             pad + f"for _q in range({bound}):",
             pad + f"    _t = {term}",
@@ -1521,8 +1742,9 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         uses = self._seg_uses
         if self._seg_hits:
             lines.append(f"_mfp[0] += {self._seg_hits}")
-        if uses:
-            lines.append(f"_mres[0] += {sum(uses.values())}")
+        resolutions = sum(uses.values()) + self._seg_null
+        if resolutions:
+            lines.append(f"_mres[0] += {resolutions}")
         for src, weight in uses.items():
             lines.append(
                 f"if {src.guard} and {src.vl} == 0: _mev[0] += {weight}"
@@ -1643,8 +1865,12 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             return
         if cls is Call and not instr.is_builtin:
             self._gen_user_call_fused(frag, instr)
-            return
-        super()._gen_instr(frag, instr, nxt)
+        else:
+            super()._gen_instr(frag, instr, nxt)
+        result = getattr(instr, "result", None)
+        if type(result) is Register:
+            # A redefinition ends the fact, whether or not s{i} is stored.
+            self._facts.pop(result.index, None)
 
     def _post_compute(self, frag: list[str], instr) -> None:
         # on_compute / on_builtin, fused.
@@ -1660,9 +1886,14 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         mem = instr.mem
         if type(mem) is GlobalRef and not self.m.is_array_global(mem.name):
             frag.append(f"r{res} = cells[{mem.name!r}]")
-            key = _global_key(mem)
-            frag.append("_cm = mem_shadow.get(0)")
-            cell = f"None if _cm is None else _cm.get({key})"
+            if mem.name in self.m.stored_scalars:
+                key = _global_key(mem)
+                frag.append("_cm = mem_shadow.get(0)")
+                cell = f"None if _cm is None else _cm.get({key})"
+            else:
+                # No store anywhere: the cell's shadow entry stays None.
+                self._seg_null += 1
+                cell = None
         elif type(mem) is GlobalRef:
             data = self.m.global_data(mem.name)
             size = self.m.global_size(mem.name)
@@ -1830,33 +2061,18 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         args = [self._operand(arg) for arg in instr.args]
         # on_call: seed the callee's parameter shadows and charge the call
         # overhead itself — same statement order as the tree profiler.
-        frag.append("_cur = prof.tags")
-        frag.append("_tdp = prof.tracked_depth")
-        base = "[]"
+        entries = "".join(
+            f"{self._sreg(arg.index)}, " if type(arg) is Register else "None, "
+            for arg in instr.args[: len(callee.params)]
+        )
+        ctrl = "None"
         if self._ctrl_live:
-            frag.append(
-                "_ctr = _resolve(control[-1][2], _cur) if control else None"
-            )
-            base = "[] if _ctr is None else [_ctr]"
+            ctrl = "control[-1][2] if control else None"
         if self._metrics_on:
             frag.append("_mfr[0] += 1")
-        frag.append(f"_ai = {base}")
-        ps_names: list[str] = []
-        for k, arg in enumerate(instr.args[: len(callee.params)]):
-            ps = f"_ps{k}"
-            ps_names.append(ps)
-            if type(arg) is Register:
-                frag += [
-                    f"_pi = {base}",
-                    f"_rs = _resolve({self._sreg(arg.index)}, _cur)",
-                    "if _rs is not None:",
-                    "    _pi.append(_rs)",
-                    "    _ai.append(_rs)",
-                    f"{ps} = (_cts(_pi, {cost}, _tdp), _cur)",
-                ]
-            else:
-                frag.append(f"{ps} = (_cts({base}, {cost}, _tdp), _cur)")
-        frag.append(f"_ts = _cts(_ai, {cost}, _tdp)")
+        frag.append(
+            f"_ps, _ts = _call_shadows(({entries}), {ctrl}, _cu, {cost}, _dp)"
+        )
         fold = [
             f"stack[-1].work += {cost}",
             "_k = 0",
@@ -1871,20 +2087,23 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             frag.append("if stack:")
             frag += [_PAD + line for line in fold]
         value_args = "".join(f"{a}, " for a in args)
-        shadow_args = "".join(f"{p}, " for p in ps_names)
+        shadow_args = "*_ps, " if callee.params else ""
         call = f"_mc_{instr.callee}({value_args}{shadow_args}_d + 1)"
         if instr.result is not None:
             frag.append(f"r{instr.result.index} = {call}")
         else:
             frag.append(call)
+        # The callee ran its own region code on prof; _cu/_dp follow it.
+        frag.append("_cu = prof.tags")
+        frag.append("_dp = prof.tracked_depth")
+        if not self._balanced:
+            self._kill_from(0)
         # on_call_return: the callee's Ret left its availability here.
         frag.append("_pn = prof._pending_return")
         frag.append("prof._pending_return = None")
         if instr.result is not None:
             frag.append("if _pn is not None:")
-            frag.append(
-                f"    {self._sreg(instr.result.index)} = (_pn, prof.tags)"
-            )
+            frag.append(f"    {self._sreg(instr.result.index)} = (_pn, _cu)")
 
 
 class _ModuleEmitter:
@@ -1988,6 +2207,15 @@ class _FusedModuleEmitter(_ModuleEmitter):
         self.instrumentation = program.instrumentation.functions
         self.max_depth = max_depth
         self.metrics_on = metrics_on
+        self.stored_scalars = {
+            instr.mem.name
+            for function in self.module.functions.values()
+            for block in function.blocks
+            for instr in block.instructions
+            if type(instr) is Store
+            and type(instr.mem) is GlobalRef
+            and not self.is_array_global(instr.mem.name)
+        }
         # A function's own open-region counts prove ``stack`` non-empty
         # only if no function can pop a region it did not open.
         self.open_counts: dict[str, dict] = {}
@@ -2100,7 +2328,20 @@ def codegen_unit(
     max_depth: int | None = None,
     metrics_on: bool = False,
 ) -> CodegenUnit:
-    """Cached :func:`build_unit`, keyed on the program object.
+    """Cached :func:`build_unit`, keyed on the program object (see
+    :func:`lookup_unit`)."""
+    return lookup_unit(program, flavor, budget, max_depth, metrics_on)[0]
+
+
+def lookup_unit(
+    program,
+    flavor: str,
+    budget=None,
+    max_depth: int | None = None,
+    metrics_on: bool = False,
+) -> tuple[CodegenUnit, bool]:
+    """Cached :func:`build_unit`, keyed on the program object, and
+    whether a cache served it (False: codegen ran in this call).
 
     The in-process cache lives on ``program.__dict__``, so a fresh
     ``kremlin_cc`` naturally gets fresh code; callers that mutate a
@@ -2121,9 +2362,10 @@ def codegen_unit(
     if unit is not None:
         if metrics_enabled():
             get_metrics().counter("codegen.unit_cache_hits").cell[0] += 1
-        return unit
+        return unit, True
     unit = diskcache.load_unit(program, flavor, budget, max_depth, metrics_on)
-    if unit is None:
+    cached = unit is not None
+    if not cached:
         unit = build_unit(program, flavor, budget, max_depth, metrics_on)
         diskcache.store_unit(
             program, flavor, budget, max_depth, metrics_on, unit
@@ -2131,4 +2373,4 @@ def codegen_unit(
     cache[key] = unit
     if metrics_enabled():
         get_metrics().counter("codegen.unit_cache_misses").cell[0] += 1
-    return unit
+    return unit, cached

@@ -20,7 +20,9 @@ is just a dict build plus ``exec`` of precompiled code.
 
 from __future__ import annotations
 
-from repro.interp.codegen import codegen_unit
+from bisect import bisect_right
+
+from repro.interp.codegen import lookup_unit
 from repro.interp.errors import InterpreterError
 from repro.interp.interpreter import ArrayStorage
 
@@ -44,6 +46,8 @@ class CompiledEngine:
         self._fns: dict | None = None
         self._env: dict | None = None
         self.unit = None
+        #: whether prepare() found its unit cached (no codegen ran)
+        self.cache_hit: bool | None = None
         self._frames_cell = None
 
     # ------------------------------------------------------------------
@@ -76,17 +80,17 @@ class CompiledEngine:
             "sorted": sorted,
         }
         if observer is None:
-            unit = codegen_unit(
+            unit, self.cache_hit = lookup_unit(
                 interp.program, "plain", interp.max_instructions
             )
         else:
             # The Interpreter only routes KremlinProfiler observers here.
             from repro.kremlib.profiler import ProfilerError, _ActiveRegion
-            from repro.kremlib.shadow import _compute_ts, resolve_entry
+            from repro.kremlib.shadow import call_shadows
             from repro.obs.metrics import get_metrics, metrics_enabled
 
             metrics_on = metrics_enabled()
-            unit = codegen_unit(
+            unit, self.cache_hit = lookup_unit(
                 interp.program,
                 "fused",
                 interp.max_instructions,
@@ -103,8 +107,8 @@ class CompiledEngine:
                     "prof": observer,
                     "_ActiveRegion": _ActiveRegion,
                     "ProfilerError": ProfilerError,
-                    "_resolve": resolve_entry,
-                    "_cts": _compute_ts,
+                    "_call_shadows": call_shadows,
+                    "_bisect": bisect_right,
                 }
             )
             if metrics_on:

@@ -64,8 +64,10 @@ class KremlinProfiler(ExecutionObserver):
     engine's fused code through the same objects bound into its module
     environment. The mutable containers are therefore reset in place
     (:meth:`on_run_start`), never rebound. The fused code keeps no state
-    of its own: it resolves entries against ``tags`` by a backward scan
-    (validity is prefix-closed, see :mod:`repro.kremlib.shadow`).
+    of its own: it resolves entries against ``tags`` by bisection
+    (validity is prefix-closed, see :mod:`repro.kremlib.shadow`), and
+    writes ``tags``/``tracked_depth`` through from the locals it keeps
+    them in.
     """
 
     # The compiled engine bakes this observer's hook bodies into its
@@ -365,7 +367,7 @@ class KremlinProfiler(ExecutionObserver):
             )
         if self.root_char is None:
             raise ProfilerError("no root region was recorded")
-        with get_tracer().span("hcpa-update") as span:
+        with get_tracer().span("hcpa-finalize") as span:
             root = self.dictionary.entry(self.root_char)
             self._finished_profile = ParallelismProfile(
                 dictionary=self.dictionary,
@@ -417,9 +419,13 @@ def profile_program(
         engine=engine,
     )
     tracer = get_tracer()
-    with tracer.span(
-        "execute", engine=interpreter.engine, entry=entry
-    ) as span:
+    with tracer.span("prepare", engine=interpreter.engine) as span:
+        interpreter.prepare()
+        if interpreter.engine == "compiled":
+            span.args["cache"] = (
+                "hit" if interpreter._compiled.cache_hit else "miss"
+            )
+    with tracer.span("run", engine=interpreter.engine, entry=entry) as span:
         result = interpreter.run(entry=entry, args=args)
         span.args["instructions"] = result.instructions_retired
     return profiler.profile, result

@@ -9,9 +9,13 @@ region instance has a fixed chain of ancestors, so if ``tags[d]`` no longer
 matches the current region stack, no deeper level can match either.
 Resolution therefore reduces to a common-prefix length, with an identity
 fast path (values written since the last region event share the *same* tags
-tuple). Depths beyond the valid prefix read as time 0 — exactly the paper's
-rule that data written by an exited sibling region instance "is discarded
-... assuming time 0 instead" (§4.2).
+tuple). Ids are also issued in increasing order to a last-in first-out
+stack, so every tags tuple is strictly increasing and the common prefix is
+the number of current tags no greater than the entry's last tag; the
+compiled engine finds it with one ``bisect_right``. Depths beyond the valid
+prefix read as time 0 — exactly the paper's rule that data written by an
+exited sibling region instance "is discarded ... assuming time 0 instead"
+(§4.2).
 """
 
 from __future__ import annotations
@@ -51,9 +55,9 @@ class ShadowFrame:
 
 def _compute_ts(inputs, cost: int, depth: int) -> list:
     """Reference merge: ts[d] = max over inputs of times[d] (0 beyond
-    validity) + cost. The tree profiler's hooks use it, and it is bound
-    as ``_cts`` for the compiled engine's call sites; the per-segment
-    generated code expands the same math inline."""
+    validity) + cost. The tree profiler's hooks and
+    :func:`call_shadows` use it; the per-segment generated code expands
+    the same math inline."""
     ts = [cost] * depth
     for times, valid in inputs:
         if valid > depth:
@@ -84,3 +88,30 @@ def resolve_entry(entry, current_tags):
     if valid == 0:
         return None
     return (times, valid)
+
+
+def call_shadows(entries, control, tags, cost: int, depth: int):
+    """The compiled engine's ``on_call`` (bound as ``_call_shadows``).
+
+    ``entries`` holds the shadow entry of each argument that binds a
+    parameter (None for a constant), ``control`` the caller's control
+    top. Returns the callee's parameter shadows and the call event's
+    timestamp vector, both exactly as
+    :meth:`~repro.kremlib.profiler.KremlinProfiler.on_call` computes
+    them.
+    """
+    base = []
+    if control is not None:
+        resolved = resolve_entry(control, tags)
+        if resolved is not None:
+            base.append(resolved)
+    inputs = list(base)
+    params = []
+    for entry in entries:
+        resolved = resolve_entry(entry, tags)
+        if resolved is None:
+            params.append((_compute_ts(base, cost, depth), tags))
+        else:
+            inputs.append(resolved)
+            params.append((_compute_ts(base + [resolved], cost, depth), tags))
+    return params, _compute_ts(inputs, cost, depth)

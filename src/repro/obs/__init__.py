@@ -11,8 +11,8 @@ Three zero-dependency pieces:
 
 * :mod:`repro.obs.trace` — :class:`Span`/:class:`Tracer`: nested,
   deterministic-under-a-fake-clock spans around each pipeline stage
-  (``lex``, ``parse``, ``lower``, ``verify``, ``instrument``, ``execute``,
-  ``hcpa-update``, ``compress``, ``aggregate``, ``plan``, ...);
+  (``lex``, ``parse``, ``lower``, ``verify``, ``instrument``, ``prepare``,
+  ``run``, ``hcpa-finalize``, ``compress``, ``aggregate``, ``plan``, ...);
 * :mod:`repro.obs.metrics` — a registry of counters/gauges/histograms fed
   from the hot paths (fast-path hit/miss in the compiled engine, shadow
   slot allocations/evictions, dictionary-compressor hit ratio, bytes

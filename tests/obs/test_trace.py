@@ -119,5 +119,60 @@ class TestGlobalInstallation(unittest.TestCase):
         self.assertIs(get_tracer(), NULL_TRACER)
 
 
+class TestProductSpans(unittest.TestCase):
+    """The profiled run's spans time what their names say."""
+
+    # A source no other test compiles, so its first codegen is a miss.
+    SOURCE = (
+        "int main() { int s = 0;"
+        " for (int i = 0; i < 7; i++) { s = s + i * 3; } return s; }"
+    )
+
+    def _spans(self, program, engine="compiled"):
+        from repro.kremlib.profiler import profile_program
+
+        with tracing(clock=FakeClock()) as tracer:
+            profile_program(program, engine=engine)
+        return tracer.spans
+
+    def test_prepare_and_run_are_separate_spans(self):
+        from repro.instrument.compile import kremlin_cc
+
+        program = kremlin_cc(self.SOURCE, "product_spans.c")
+        first = self._spans(program)
+        second = self._spans(program)
+        names = {span.index: span.name for span in first}
+        self.assertEqual(
+            [(span.name, span.parent) for span in first],
+            [("prepare", None), ("run", None), ("hcpa-finalize", 1)],
+        )
+        self.assertEqual(first[0].args["cache"], "miss")
+        self.assertEqual(second[0].args["cache"], "hit")
+        run = first[1]
+        self.assertEqual(run.args["entry"], "main")
+        self.assertGreater(run.args["instructions"], 0)
+        self.assertEqual(names[first[2].parent], "run")
+
+    def test_tree_engine_prepare_has_no_cache(self):
+        from repro.instrument.compile import kremlin_cc
+
+        spans = self._spans(kremlin_cc(self.SOURCE, "t.c"), engine="tree")
+        self.assertEqual(spans[0].name, "prepare")
+        self.assertNotIn("cache", spans[0].args)
+
+    def test_best_configuration_opens_simulate(self):
+        from repro.exec_model.simulate import best_configuration
+        from repro.instrument.compile import kremlin_cc
+        from repro.kremlib.profiler import profile_program
+
+        profile, _ = profile_program(kremlin_cc(self.SOURCE, "s.c"))
+        with tracing(clock=FakeClock()) as tracer:
+            best = best_configuration(profile, [], core_sweep=(1, 2, 4))
+        (span,) = tracer.spans
+        self.assertEqual(span.name, "simulate")
+        self.assertEqual(span.args["configurations"], 3)
+        self.assertEqual(span.args["best_cores"], best.machine.cores)
+
+
 if __name__ == "__main__":
     unittest.main()

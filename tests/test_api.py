@@ -213,8 +213,8 @@ class TestUnifiedExecuteOptions(unittest.TestCase):
 
 class TestExecuteTrace(unittest.TestCase):
     def test_parallel_run_has_its_own_span_name(self):
-        # the profiled run owns `execute` (under `analyze`); the parallel
-        # backend's run is a separate root named `parallel.execute`
+        # the profiled run owns `prepare` and `run` (under `analyze`); the
+        # parallel backend's run is a separate root, `parallel.execute`
         from repro import ParallelOptions
         from repro.obs.trace import Tracer
 
@@ -228,10 +228,11 @@ class TestExecuteTrace(unittest.TestCase):
         names = {span.index: span.name for span in spans}
         roots = [span.name for span in spans if span.parent is None]
         self.assertEqual(roots, ["analyze", "parallel.execute"])
-        self.assertEqual(
-            [names[s.parent] for s in spans if s.name == "execute"],
-            ["analyze"],
-        )
+        for name in ("prepare", "run"):
+            self.assertEqual(
+                [names[s.parent] for s in spans if s.name == name],
+                ["analyze"],
+            )
         children = [
             span.name
             for span in spans
@@ -240,7 +241,7 @@ class TestExecuteTrace(unittest.TestCase):
         ]
         self.assertIn("parallel.serial", children)
         self.assertIn("parallel.run", children)
-        self.assertNotIn("execute", children)
+        self.assertNotIn("run", children)
 
     def test_inline_chunks_reuse_the_compiled_transformed_program(self):
         # the master and the inline chunk interpreter share the session's
