@@ -13,7 +13,7 @@ from repro.bench_suite import get_benchmark
 from repro.exec_model import best_configuration
 from repro.hcpa import aggregate_profile
 from repro.instrument.compile import CompiledProgram
-from repro.instrument.passes import instrument_module
+from repro.instrument.passes import ModuleInstrumentation, instrument_function
 from repro.ir.instructions import BinOp
 from repro.kremlib import profile_program
 from repro.planner import OpenMPPlanner
@@ -32,10 +32,15 @@ def compile_without_breaking(name: str) -> CompiledProgram:
         for instr in function.instructions():
             if isinstance(instr, BinOp) and instr.dep_break is not None:
                 instr.dep_break = None
-    # Re-instrument so the precomputed shadow operands include the
-    # previously-broken old-value operands again.
-    program.instrumentation = instrument_module(
-        program.module, program.cost_model
+    # Re-instrument every function so the precomputed shadow operands
+    # include the previously-broken old-value operands again
+    # (``instrument_module`` would put the marks back first).
+    program.instrumentation = ModuleInstrumentation(
+        cost_model=program.cost_model,
+        functions={
+            name: instrument_function(function, program.cost_model)
+            for name, function in program.module.functions.items()
+        },
     )
     return program
 

@@ -20,6 +20,9 @@ A digest covers, for every bench program:
 * the parallel transform's decisions (``plan_transform`` without a
   plan): accepted region ids with their reductions, and every refused
   region with its reason;
+* every dependence-breaking mark on the compiled IR, as ``(function,
+  block label, instruction index, kind, break operand)``, so a moved mark
+  shows on its own and not only through the profiles it changes;
 
 and, for each replan input (bt, sp, mg, lu, ammp merged over the first
 k in {1, 3} of those depth windows): the merged profile, its compression
@@ -69,6 +72,7 @@ def digest(checkout: str) -> dict:
     from repro.hcpa.merge import merge_profiles
     from repro.hcpa.serialize import profile_from_json, profile_to_json
     from repro.interp.codegen import build_unit
+    from repro.ir.instructions import BinOp
     from repro.kremlib.profiler import KremlinProfiler
     from repro.parallel.transform import plan_transform
     from repro.planner.registry import available_personalities, create_planner
@@ -103,6 +107,14 @@ def digest(checkout: str) -> dict:
         out[f"check/{name}/costs"] = _h(
             json.dumps(costs_to_json(analysis.costs), sort_keys=True)
         )
+        out[f"marks/{name}"] = _h(repr([
+            (function.name, block.label, index, instr.dep_break,
+             instr.break_operand)
+            for function in program.module.functions.values()
+            for block in function.blocks
+            for index, instr in enumerate(block.instructions)
+            if isinstance(instr, BinOp) and instr.dep_break is not None
+        ]))
         transform = plan_transform(program)
         out[f"parallel/{name}/sites"] = _h(
             repr([

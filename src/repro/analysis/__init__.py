@@ -4,9 +4,11 @@ These passes play the role of LLVM's analyses in the paper's toolchain:
 dominators and natural loops (region structure validation), postdominators
 and control dependence (the static half of Kremlin's control-dependence
 tracking, §4.1). Induction and reduction detection over the IR lives in
-the dependence analyzer (:mod:`~repro.analysis.dependence`); the
-dependence-breaking marks HCPA consumes come from lowering
-(:mod:`repro.lowering.dep_break`).
+the dependence analyzer (:mod:`~repro.analysis.dependence`), the one
+source of the dependence-breaking marks HCPA consumes
+(:func:`~repro.analysis.dependence.mark_dependence_breaks`). The facts
+these passes share are built once per compile
+(:mod:`~repro.analysis.facts`).
 
 On top of that scaffolding sits the static loop-dependence analyzer
 (:mod:`~repro.analysis.dataflow`, :mod:`~repro.analysis.dependence`,

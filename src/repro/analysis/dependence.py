@@ -51,7 +51,7 @@ from repro.analysis.dataflow import (
     definitions_in_loop,
     upward_exposed_registers,
 )
-from repro.analysis.loops import Loop, LoopForest, find_natural_loops
+from repro.analysis.loops import Loop, LoopForest
 from repro.analysis.verdict import DependenceWitness, RegionVerdict, Verdict
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
@@ -59,10 +59,12 @@ from repro.ir.instructions import (
     Alloca,
     BinOp,
     Call,
+    Cast,
     Copy,
     Load,
     REDUCTION_OPS,
     Store,
+    UnOp,
 )
 from repro.ir.module import Module
 from repro.ir.types import ArrayType
@@ -285,38 +287,110 @@ class BoundedSym:
 
 
 class _LoopContext:
-    """Shared lookup tables for one loop's dependence analysis."""
+    """Shared lookup tables for one loop's dependence analysis, over the
+    function's :class:`~repro.analysis.facts.FunctionFacts`."""
 
-    def __init__(
-        self,
-        function: Function,
-        loop: Loop,
-        rd: ReachingDefinitions,
-        forest: LoopForest,
-        induction_of: dict[Loop, dict[Register, InductionVar]],
-        summaries: dict,
-    ):
-        self.function = function
+    def __init__(self, facts, loop: Loop, summaries: dict):
+        self.facts = facts
         self.loop = loop
-        self.rd = rd
-        self.forest = forest
+        self.rd = facts.reaching
         #: interprocedural mod/ref summaries (name -> FunctionSummary)
         self.summaries = summaries
-        self.defs_in_loop = definitions_in_loop(rd, loop)
+        self.defs_in_loop = facts.loop_defs[loop]
         #: loop blocks in function layout order (deterministic output)
-        self.blocks = [b for b in function.blocks if b in loop.blocks]
+        self.blocks = [b for b in facts.function.blocks if b in loop.blocks]
         #: induction variables of this loop
-        self.inductions = induction_of.get(loop, {})
+        self.inductions = facts.inductions[loop]
         #: induction variables of loops strictly inside this one
         self.inner_inductions: dict[Register, InductionVar] = {}
         stack = list(loop.children)
         while stack:
             inner = stack.pop()
-            self.inner_inductions.update(induction_of.get(inner, {}))
+            self.inner_inductions.update(facts.inductions[inner])
             stack.extend(inner.children)
+        self._touched: list[tuple[object, MemObject, bool]] | None = None
+        self.opaque = False
 
-    def is_invariant(self, register: Register) -> bool:
-        return register not in self.defs_in_loop
+    # -- invariance and cell tests (dependence-breaking marks) ----------
+
+    @property
+    def touched(self) -> list[tuple[object, MemObject, bool]]:
+        """``(instruction, object, is_store)`` for the loop's Loads and
+        Stores and the mod/ref records of the user functions it calls
+        (builtins touch no program memory). A callee whose effects cannot
+        be enumerated sets ``opaque``: it may touch anything."""
+        if self._touched is None:
+            self._touched = []
+            for block in self.blocks:
+                for instr in block.instructions:
+                    if isinstance(instr, (Load, Store)):
+                        obj = _resolve_object(instr.mem, self.rd)
+                        store = isinstance(instr, Store)
+                        self._touched.append((instr, obj, store))
+                    elif isinstance(instr, Call) and not instr.is_builtin:
+                        self._touch_call(instr)
+        return self._touched
+
+    def _touch_call(self, call: Call) -> None:
+        summary = self.summaries.get(call.callee)
+        if summary is None or not summary.transparent:
+            self.opaque = True
+            return
+        for seq, record in enumerate(summary.records):
+            obj = _record_object(self.rd, call, record, seq)
+            self._touched.append((call, obj, record.is_store))
+
+    def invariant(
+        self, value: Value, owner, _visiting: frozenset = frozenset()
+    ) -> bool:
+        """``value`` as ``owner`` uses it is the same in every iteration:
+        a constant, a register the loop never writes, or one whose only
+        reaching definition is a pure op on invariant operands or a Load
+        at an invariant index of an object the loop never stores to."""
+        if not isinstance(value, Register):
+            return isinstance(value, Constant)
+        if value not in self.defs_in_loop:
+            return True
+        defs = self.rd.reaching(owner, value)
+        if len(defs) != 1:
+            return False
+        definition = next(iter(defs))
+        if definition.block not in self.loop.blocks:
+            return True  # no in-loop write reaches this use
+        if definition in _visiting:
+            return False
+        instr = definition.instr
+        visiting = _visiting | {definition}
+        if isinstance(instr, (BinOp, UnOp, Copy, Cast)):
+            return all(
+                self.invariant(op, instr, visiting) for op in instr.operands
+            )
+        if not isinstance(instr, Load) or (
+            instr.index is not None
+            and not self.invariant(instr.index, instr, visiting)
+        ):
+            return False
+        obj = _resolve_object(instr.mem, self.rd)
+        touched = self.touched  # sets ``opaque``
+        return not self.opaque and not any(
+            store and may_alias(obj, other) for _, other, store in touched
+        )
+
+    def touches_cell(self, mem: Value, index: Value | None, own: tuple) -> bool:
+        """Something besides ``own`` may access the cell ``mem[index]``: a
+        Load or Store at the same index register (or of the same global
+        scalar), or a callee that may touch the object at all."""
+        obj = _resolve_object(mem, self.rd)
+        for instr, other, _ in self.touched:
+            if instr in own:
+                continue
+            if isinstance(instr, Call):
+                if may_alias(obj, other):
+                    return True
+            elif _same_memory(instr.mem, mem) and instr.index is index:
+                return True
+        return self.opaque
+
 
     # -- affine reconstruction -----------------------------------------
 
@@ -335,7 +409,7 @@ class _LoopContext:
         if (
             register in self.inductions
             or register in self.inner_inductions
-            or self.is_invariant(register)
+            or register not in self.defs_in_loop
         ):
             expr = AffineExpr()
             expr.add_term(register, 1)
@@ -428,15 +502,19 @@ def _match_self_update(
 
 _INDUCTION_OPS = frozenset({"+", "-"})
 _SCALAR_REDUCTION_OPS = REDUCTION_OPS | {"-"}
+#: operators whose old-value operand the shadow update rule may ignore
+_BREAK_OPS = frozenset({"+", "-", "*"})
 
 
 def _detect_inductions(
-    loop: Loop, rd: ReachingDefinitions
+    loop: Loop,
+    rd: ReachingDefinitions,
+    defs_in_loop: dict[Register, list[Definition]],
 ) -> dict[Register, InductionVar]:
     """Find ``r = r ± step`` updates where the loop writes ``r`` exactly
-    once and ``step`` is loop-invariant, then bound each variable's value
-    interval from its (constant) initial value and the loop bound."""
-    defs_in_loop = definitions_in_loop(rd, loop)
+    once and ``step`` is a constant or a register the loop never writes,
+    then bound each variable's value interval from its (constant) initial
+    value and the loop bound."""
     out: dict[Register, InductionVar] = {}
     for register in defs_in_loop:
         match = _match_self_update(defs_in_loop, register, _INDUCTION_OPS)
@@ -457,10 +535,39 @@ def _detect_inductions(
 
 
 def detect_loop_inductions(
-    forest: LoopForest, rd: ReachingDefinitions
+    forest: LoopForest,
+    rd: ReachingDefinitions,
+    loop_defs: dict[Loop, dict[Register, list[Definition]]] | None = None,
 ) -> dict[Loop, dict[Register, InductionVar]]:
-    """Induction variables of every loop in ``forest``, in forest order."""
-    return {loop: _detect_inductions(loop, rd) for loop in forest.loops}
+    """Induction variables of every loop in ``forest``, in forest order
+    (``loop_defs``: each loop's :func:`definitions_in_loop`, if built)."""
+    return {
+        loop: _detect_inductions(
+            loop,
+            rd,
+            loop_defs[loop] if loop_defs else definitions_in_loop(rd, loop),
+        )
+        for loop in forest.loops
+    }
+
+
+def detect_load_invariant_inductions(facts, summaries: dict) -> None:
+    """Add to ``facts.inductions`` the ``r = r ± step`` updates whose step
+    is invariant only through memory (:meth:`_LoopContext.invariant`),
+    e.g. ``v += g`` where neither the loop nor a callee writes ``g``.
+    Their step is symbolic, so they get no value interval."""
+    for loop in facts.forest.loops:
+        defs_in_loop, found = facts.loop_defs[loop], facts.inductions[loop]
+        ctx = None
+        for register in defs_in_loop:
+            match = _match_self_update(defs_in_loop, register, _INDUCTION_OPS)
+            if register in found or match is None:
+                continue
+            ctx = ctx or _LoopContext(facts, loop, summaries)
+            if ctx.invariant(match[1], match[0]):
+                found[register] = InductionVar(
+                    register=register, update=match[0], step=None
+                )
 
 
 def _bound_induction(
@@ -536,29 +643,47 @@ def _loop_bound(
 # ----------------------------------------------------------------------
 
 
-def _classify_scalars(ctx: _LoopContext, info: LoopDependenceInfo) -> None:
+def _scalar_classes(
+    ctx: _LoopContext,
+) -> dict[Register, tuple[DepClass, BinOp | None]]:
+    """Class of every scalar register the loop writes, with the update
+    BinOp of an induction or reduction variable (None for the others);
+    computed once per loop (the marks and the analyzer both ask) and kept
+    in the facts."""
+    classes = ctx.facts.scalar_classes.get(ctx.loop)
+    if classes is not None:
+        return classes
     exposed = upward_exposed_registers(ctx.loop)
     reductions = _detect_scalar_reductions(ctx)
-
-    for register, defs in ctx.defs_in_loop.items():
+    out: dict[Register, tuple[DepClass, BinOp | None]] = {}
+    for register in ctx.defs_in_loop:
         if isinstance(register.type, ArrayType):
             continue  # array references are covered by the memory side
         if register not in exposed:
-            info.scalars[register] = ScalarInfo(register, DepClass.PRIVATE)
-            continue
-        if register in ctx.inductions:
-            info.scalars[register] = ScalarInfo(register, DepClass.INDUCTION)
-            continue
-        if register in reductions:
-            info.scalars[register] = ScalarInfo(register, DepClass.REDUCTION)
-            name = register.name or repr(register)
-            info.reductions[name] = reductions[register]
-            continue
-        witness = _scalar_witness(ctx, register, defs)
-        info.scalars[register] = ScalarInfo(
-            register, DepClass.CROSS_ITERATION, witness
-        )
-        info.witnesses.append(witness)
+            out[register] = (DepClass.PRIVATE, None)
+        elif register in ctx.inductions:
+            out[register] = (
+                DepClass.INDUCTION, ctx.inductions[register].update
+            )
+        elif register in reductions:
+            out[register] = (DepClass.REDUCTION, reductions[register])
+        else:
+            out[register] = (DepClass.CROSS_ITERATION, None)
+    ctx.facts.scalar_classes[ctx.loop] = out
+    return out
+
+
+def _classify_scalars(ctx: _LoopContext, info: LoopDependenceInfo) -> None:
+    for register, (dep_class, update) in _scalar_classes(ctx).items():
+        witness = None
+        if dep_class is DepClass.REDUCTION:
+            info.reductions[register.name or repr(register)] = update
+        elif dep_class is DepClass.CROSS_ITERATION:
+            witness = _scalar_witness(
+                ctx, register, ctx.defs_in_loop[register]
+            )
+            info.witnesses.append(witness)
+        info.scalars[register] = ScalarInfo(register, dep_class, witness)
 
 
 def _detect_scalar_reductions(ctx: _LoopContext) -> dict[Register, BinOp]:
@@ -668,23 +793,7 @@ def _inline_summary_accesses(
     if summary is None or not summary.transparent:
         return  # _analyze_calls reports the impure-call witness
     for seq, record in enumerate(summary.records):
-        if record.target[0] == "global":
-            name = record.target[1]
-            obj = MemObject(
-                "global",
-                f"@{name}",
-                ("global", name),
-                record.element,
-                record.is_array,
-            )
-        else:
-            k = record.target[1]
-            if not isinstance(k, int) or k >= len(call.args):
-                obj = MemObject(
-                    "unknown", f"arg{k}", ("unknown", (id(call), seq))
-                )
-            else:
-                obj = _resolve_object(call.args[k], ctx.rd)
+        obj = _record_object(ctx.rd, call, record, seq)
         info.accesses.append(
             MemAccess(
                 call,
@@ -699,6 +808,26 @@ def _inline_summary_accesses(
                 summary_op=record.reduction_op,
             )
         )
+
+
+def _record_object(
+    rd: ReachingDefinitions, call: Call, record, seq: int
+) -> MemObject:
+    """The caller-side object of a callee's mod/ref ``record`` (number
+    ``seq`` of the summary) at ``call``."""
+    if record.target[0] == "global":
+        name = record.target[1]
+        return MemObject(
+            "global",
+            f"@{name}",
+            ("global", name),
+            record.element,
+            record.is_array,
+        )
+    k = record.target[1]
+    if not isinstance(k, int) or k >= len(call.args):
+        return MemObject("unknown", f"arg{k}", ("unknown", (id(call), seq)))
+    return _resolve_object(call.args[k], rd)
 
 
 def _rebind_index(
@@ -892,12 +1021,50 @@ def _dependence_between(
     )
 
 
+def _same_memory(a: Value, b: Value) -> bool:
+    if isinstance(a, GlobalRef) and isinstance(b, GlobalRef):
+        return a.name == b.name
+    return a is b
+
+
+def cell_update(
+    store: Store, rd: ReachingDefinitions
+) -> tuple[BinOp, int, Load] | None:
+    """Match ``store`` as the write half of ``cell = cell ⊕ v``.
+
+    The stored value's only reaching definition must be a BinOp with a
+    reduction operator (``-`` only with the old value on the left), and
+    the old-value operand's only reaching definition a Load from the
+    memory ``store`` writes. Returns the BinOp, the old value's operand
+    index and the Load; whether the Load reads the same *element* is the
+    caller's judgement (the same index register, or an affine proof)."""
+    value = store.value
+    if not isinstance(value, Register):
+        return None
+    defs = rd.reaching(store, value)
+    if len(defs) != 1:
+        return None
+    update = next(iter(defs)).instr
+    if not isinstance(update, BinOp) or update.op not in _SCALAR_REDUCTION_OPS:
+        return None
+    for side in (0,) if update.op == "-" else (0, 1):
+        operand = update.operands[side]
+        if not isinstance(operand, Register):
+            continue
+        old_defs = rd.reaching(update, operand)
+        if len(old_defs) != 1:
+            continue
+        load = next(iter(old_defs)).instr
+        if isinstance(load, Load) and _same_memory(load.mem, store.mem):
+            return update, side, load
+    return None
+
+
 def _is_cell_reduction(
     ctx: _LoopContext, store: MemAccess, load: MemAccess
 ) -> bool:
-    """``cell ⊕= v`` on a loop-invariant address: the stored value comes
-    from a reduction-op BinOp whose old-value operand is exactly this
-    load (recognized via the lowering dep-break mark, or structurally).
+    """``cell ⊕= v`` on a loop-invariant address: the stored value is a
+    :func:`cell_update` of exactly this load.
 
     Call-derived pairs qualify when the callee summary flagged both
     halves of the update with the same operator at the same call site
@@ -911,22 +1078,8 @@ def _is_cell_reduction(
             and store.summary_op == load.summary_op
             and store.instr is load.instr
         )
-    value = store.instr.value
-    if not isinstance(value, Register):
-        return False
-    defs = ctx.rd.reaching(store.instr, value)
-    if len(defs) != 1:
-        return False
-    update = next(iter(defs)).instr
-    if not isinstance(update, BinOp):
-        return False
-    loaded = load.instr.result
-    if update.dep_break == "reduction":
-        old = update.operands[update.break_operand]
-        return old is loaded
-    if update.op not in REDUCTION_OPS:
-        return False
-    return update.lhs is loaded or update.rhs is loaded
+    match = cell_update(store.instr, ctx.rd)
+    return match is not None and match[2] is load.instr
 
 
 def _analyze_memory(ctx: _LoopContext, info: LoopDependenceInfo) -> None:
@@ -1107,12 +1260,14 @@ def iterations_structurally_identical(info: LoopDependenceInfo) -> bool:
     """Every iteration of this loop executes the same instruction sequence.
 
     True when the loop body is straight-line — no inner loops, no branches
-    beyond the loop's own exit test, no calls — and every statically
-    detected induction/reduction update also carries the lowering-applied
-    ``dep_break`` mark (so the dynamic runtime breaks exactly the
-    dependences the static analysis discounted). For such loops a static
-    safety verdict predicts the *dynamic* DOALL verdict too: balanced
-    identical iterations with no cross-iteration dependences must measure
+    beyond the loop's own exit test, no calls — and the dynamic runtime
+    breaks exactly the dependences the static analysis discounted. Every
+    induction update carries its :func:`mark_dependence_breaks` mark by
+    construction, and so does every register reduction over ``+``, ``-``
+    or ``*``; a loop with any other reduction (a memory cell, or a
+    bitwise operator) is left out. For such loops a static safety verdict
+    predicts the *dynamic* DOALL verdict too: balanced identical
+    iterations with no cross-iteration dependences must measure
     self-parallelism ≈ iteration count. Imbalanced-but-safe loops (e.g.
     one heavy iteration behind an ``if``) are excluded — their measured
     self-parallelism legitimately collapses even though they are safe.
@@ -1131,13 +1286,100 @@ def iterations_structurally_identical(info: LoopDependenceInfo) -> bool:
                 return False
     if branch_count > 1:
         return False
-    for induction in info.inductions.values():
-        if induction.update.dep_break is None:
-            return False
-    for update in info.reductions.values():
-        if getattr(update, "dep_break", None) != "reduction":
-            return False
-    return True
+    return all(
+        isinstance(update, BinOp) and update.op in _BREAK_OPS
+        for update in info.reductions.values()
+    )
+
+
+# ----------------------------------------------------------------------
+# Dependence-breaking marks (paper §4.1)
+# ----------------------------------------------------------------------
+
+
+def mark_dependence_breaks(facts) -> None:
+    """Put the §4.1 marks on every induction and reduction update:
+    ``BinOp.dep_break`` names the class, ``break_operand`` the old value's
+    operand, whose dependence the runtime ignores.
+
+    Each update is judged in its innermost loop, from a module's
+    :class:`~repro.analysis.facts.ModuleFacts`: a register the
+    loop classifies as an induction or reduction variable marks its
+    update, and so does a memory cell updated in place
+    (:func:`_mark_cell_update`). Only ``+``, ``-`` and ``*`` are marked.
+    """
+    for function_facts in facts.functions.values():
+        forest = function_facts.forest
+        for loop in forest.loops:
+            ctx = _LoopContext(function_facts, loop, facts.summaries)
+            marks = {
+                id(update): (dep_class.value, 0 if update.lhs is register else 1)
+                for register, (dep_class, update) in _scalar_classes(ctx).items()
+                if update is not None and update.op in _BREAK_OPS
+            }
+            for block in ctx.blocks:
+                if forest.loop_of(block) is not loop:
+                    continue
+                for position, instr in enumerate(block.instructions):
+                    if id(instr) in marks:
+                        instr.dep_break, instr.break_operand = marks[id(instr)]
+                    elif isinstance(instr, Store):
+                        _mark_cell_update(ctx, block, position)
+
+
+def _mark_cell_update(ctx: _LoopContext, block, position: int) -> None:
+    """Mark ``cell = cell ⊕ v`` written by the store at ``position``: a
+    global scalar loaded and combined earlier in the block, or an array
+    element whose Load, ⊕ and Store at one index register stand back to
+    back (the shape of ``a[i] ⊕= v``), with an index that does not read
+    the array. Nothing else in the loop may access the cell. A global
+    ``g ± invariant`` is an induction, any other cell a reduction."""
+    store = block.instructions[position]
+    match = cell_update(store, ctx.rd)
+    if match is None:
+        return
+    update, old, load = match
+    before = block.instructions[:position]
+    if update.op not in _BREAK_OPS or load.index is not store.index:
+        return
+    if store.index is None:
+        if update not in before or load not in before:
+            return
+    elif before[-2:] != [load, update] or _reads_memory(
+        ctx, store.index, store, store.mem
+    ):
+        return
+    if ctx.touches_cell(store.mem, store.index, (load, store)):
+        return
+    induction = (
+        store.index is None
+        and update.op in _INDUCTION_OPS
+        and ctx.invariant(update.operands[1 - old], update)
+    )
+    update.dep_break = "induction" if induction else "reduction"
+    update.break_operand = old
+
+
+def _reads_memory(
+    ctx: _LoopContext, value: Value, owner, mem: Value
+) -> bool:
+    """``value``, as ``owner`` uses it, is computed in the loop from a
+    Load of ``mem``."""
+    stack = [(value, owner)]
+    seen: set = set()
+    while stack:
+        value, owner = stack.pop()
+        if not isinstance(value, Register) or value not in ctx.defs_in_loop:
+            continue
+        for definition in ctx.rd.reaching(owner, value):
+            instr = definition.instr
+            if definition in seen or definition.block not in ctx.loop.blocks:
+                continue
+            seen.add(definition)
+            if isinstance(instr, Load) and _same_memory(instr.mem, mem):
+                return True
+            stack.extend((operand, instr) for operand in instr.operands)
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -1148,10 +1390,8 @@ def iterations_structurally_identical(info: LoopDependenceInfo) -> bool:
 def analyze_function_dependences(
     function: Function,
     module: Module,
-    rd: ReachingDefinitions | None = None,
     summaries: dict | None = None,
-    forest: LoopForest | None = None,
-    inductions: dict[Loop, dict[Register, InductionVar]] | None = None,
+    facts=None,
 ) -> list[LoopDependenceInfo]:
     """Classify every natural loop of ``function``; innermost first.
 
@@ -1160,24 +1400,21 @@ def analyze_function_dependences(
     (computed from ``module`` when not passed): a transparent callee
     contributes synthetic accesses, any other call an impure-call
     witness. ``summaries={}`` analyzes with no interprocedural facts.
-    ``rd``, ``forest`` and ``inductions`` (from
-    :func:`detect_loop_inductions` over that forest) are computed here
-    when the caller has not already built them.
+    ``facts`` are the function's :class:`~repro.analysis.facts.FunctionFacts`,
+    built here when the caller has not already built them.
     """
-    rd = rd or ReachingDefinitions(function)
-    forest = forest or find_natural_loops(function)
     if summaries is None:
         from repro.analysis.summaries import compute_module_summaries
 
         summaries = compute_module_summaries(module)
-    if inductions is None:
-        inductions = detect_loop_inductions(forest, rd)
+    if facts is None:
+        from repro.analysis.facts import function_facts
+
+        facts = function_facts(function, summaries)
 
     out: list[LoopDependenceInfo] = []
-    for loop in forest.loops:
-        ctx = _LoopContext(
-            function, loop, rd, forest, inductions, summaries
-        )
+    for loop in facts.forest.loops:
+        ctx = _LoopContext(facts, loop, summaries)
         info = LoopDependenceInfo(
             loop=loop,
             function=function,

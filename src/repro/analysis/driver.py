@@ -10,14 +10,19 @@ up to the enclosing LOOP. The resulting verdict *tags* are stamped onto
 :class:`~repro.instrument.regions.StaticRegion.verdict` so they travel
 with the profile (serialization, merging, planning, reports).
 
-Every per-function fact is built once, in the ``dataflow`` step —
-reaching definitions, the natural-loop forest (with the dominator tree
-it was found with) and the induction variables of each loop — and handed
-to the summaries, the dependence classifier, static cost and lint.
+Every fact is built once per compile, by
+:func:`~repro.analysis.facts.build_module_facts` — reaching definitions,
+the natural-loop forest (with the dominator tree it was found with), the
+induction variables of each loop, the call graph and the mod/ref
+summaries — and handed to the dependence classifier, static cost and
+lint. ``kremlin_cc`` builds them before instrumentation (the
+dependence-breaking marks need them) and passes them in; called alone,
+:func:`analyze_module` builds them itself.
 
 Observability: the whole pass runs under a ``static-analysis`` span with
-``dataflow`` / ``summaries`` / ``dependence`` / ``static-cost`` / ``lint``
-children, and feeds ``analysis.*`` counters when metrics collection is on.
+``dependence`` / ``static-cost`` / ``lint`` children (plus the facts'
+``dataflow`` / ``summaries`` spans first, when it builds them), and feeds
+``analysis.*`` counters when metrics collection is on.
 """
 
 from __future__ import annotations
@@ -25,20 +30,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.callgraph import build_call_graph
 from repro.analysis.dataflow import ReachingDefinitions
 from repro.analysis.dependence import (
     LoopDependenceInfo,
     analyze_function_dependences,
-    detect_loop_inductions,
 )
+from repro.analysis.facts import ModuleFacts, build_module_facts
 from repro.analysis.lint import Diagnostic, LintContext, run_lint
-from repro.analysis.loops import find_natural_loops
 from repro.analysis.static_cost import RegionCost, compute_static_costs
-from repro.analysis.summaries import (
-    FunctionSummary,
-    compute_module_summaries,
-)
+from repro.analysis.summaries import FunctionSummary
 from repro.analysis.verdict import RegionVerdict, Verdict
 from repro.instrument.regions import StaticRegionTree
 from repro.ir.module import Module
@@ -97,44 +97,33 @@ def resolve_loop_region(
     return region.id if region is not None else None
 
 
-def analyze_module(module: Module, lint: bool = True) -> ModuleAnalysis:
+def analyze_module(
+    module: Module, lint: bool = True, facts: ModuleFacts | None = None
+) -> ModuleAnalysis:
     """Run the full static-analysis stack over ``module``.
 
-    Stamps verdict tags onto the module's region tree as a side effect and
-    returns the detailed :class:`ModuleAnalysis`.
+    ``facts`` are the module's :class:`~repro.analysis.facts.ModuleFacts`
+    when the caller already built them. Stamps verdict tags onto the
+    module's region tree as a side effect and returns the detailed
+    :class:`ModuleAnalysis`.
     """
     tracer = get_tracer()
     start = time.perf_counter()
     analysis = ModuleAnalysis()
     with tracer.span("static-analysis", functions=len(module.functions)):
-        with tracer.span("dataflow"):
-            reaching = {}
-            forests = {}
-            inductions = {}
-            for name, function in module.functions.items():
-                rd = reaching[name] = ReachingDefinitions(function)
-                forest = forests[name] = find_natural_loops(function)
-                inductions[name] = detect_loop_inductions(forest, rd)
-        with tracer.span("summaries") as span:
-            graph = build_call_graph(module)
-            analysis.summaries = compute_module_summaries(
-                module, graph, reaching=reaching, inductions=inductions
-            )
-            span.args["functions"] = len(analysis.summaries)
+        if facts is None:
+            facts = build_module_facts(module)
+        analysis.summaries = facts.summaries
         with tracer.span("dependence") as span:
             loop_count = 0
             for name, function in module.functions.items():
+                function_facts = facts.functions[name]
                 infos = analyze_function_dependences(
-                    function,
-                    module,
-                    rd=reaching[name],
-                    summaries=analysis.summaries,
-                    forest=forests[name],
-                    inductions=inductions[name],
+                    function, module, analysis.summaries, function_facts
                 )
                 loop_count += len(infos)
                 analysis.functions[name] = FunctionAnalysis(
-                    name=name, reaching=reaching[name], loops=infos
+                    name=name, reaching=function_facts.reaching, loops=infos
                 )
             span.args["loops"] = loop_count
         _stamp_verdicts(module.regions, analysis)
@@ -146,8 +135,11 @@ def analyze_module(module: Module, lint: bool = True) -> ModuleAnalysis:
                     for name, fa in analysis.functions.items()
                 },
                 regions=module.regions,
-                graph=graph,
-                doms={name: forest.dom for name, forest in forests.items()},
+                graph=facts.graph,
+                doms={
+                    name: function_facts.forest.dom
+                    for name, function_facts in facts.functions.items()
+                },
             )
             span.args["regions"] = len(analysis.costs)
             if module.regions is not None:
@@ -157,7 +149,10 @@ def analyze_module(module: Module, lint: bool = True) -> ModuleAnalysis:
             with tracer.span("lint") as span:
                 context = LintContext(
                     module=module,
-                    reaching=reaching,
+                    reaching={
+                        name: fa.reaching
+                        for name, fa in analysis.functions.items()
+                    },
                     dependences={
                         name: fa.loops
                         for name, fa in analysis.functions.items()

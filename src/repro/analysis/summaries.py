@@ -34,7 +34,7 @@ diagnostic can show the full interprocedural path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.analysis.callgraph import CallGraph, build_call_graph
 from repro.analysis.dataflow import ReachingDefinitions
@@ -46,7 +46,6 @@ from repro.ir.instructions import (
     Call,
     Copy,
     Load,
-    REDUCTION_OPS,
     Store,
 )
 from repro.ir.module import Module
@@ -406,6 +405,8 @@ def _global_reductions(
     """``id(instr) -> op`` for Load/Store halves of ``g = g ⊕ v``
     updates on global scalar cells (candidates; the caller-side check
     still requires the cell to have no other accesses in the loop)."""
+    from repro.analysis.dependence import cell_update
+
     out: dict[int, str] = {}
     for block in function.blocks:
         for instr in block.instructions:
@@ -413,36 +414,13 @@ def _global_reductions(
                 continue
             if not isinstance(instr.mem, GlobalRef):
                 continue
-            if not isinstance(instr.value, Register):
+            match = cell_update(instr, rd)
+            if match is None:
                 continue
-            defs = rd.reaching(instr, instr.value)
-            if len(defs) != 1:
-                continue
-            update = next(iter(defs)).instr
-            if not isinstance(update, BinOp):
-                continue
-            if (
-                update.dep_break != "reduction"
-                and update.op not in REDUCTION_OPS
-            ):
-                continue
-            for operand in (update.lhs, update.rhs):
-                if not isinstance(operand, Register):
-                    continue
-                odefs = rd.reaching(update, operand)
-                if len(odefs) != 1:
-                    continue
-                old = next(iter(odefs)).instr
-                if (
-                    isinstance(old, Load)
-                    and old.index is None
-                    and isinstance(old.mem, GlobalRef)
-                    and old.mem.name == instr.mem.name
-                ):
-                    op = "+" if update.op in ("+", "-") else update.op
-                    out[id(instr)] = op
-                    out[id(old)] = op
-                    break
+            update, _, old = match
+            op = "+" if update.op in ("+", "-") else update.op
+            out[id(instr)] = op
+            out[id(old)] = op
     return out
 
 

@@ -337,8 +337,9 @@ def check_static_dynamic(profile: ParallelismProfile, program) -> int:
     iteration behind an ``if``), which legitimately collapses measured
     self-parallelism. So the invariant is gated on
     :func:`~repro.analysis.dependence.iterations_structurally_identical`:
-    straight-line bodies whose induction/reduction updates carry the same
-    ``dep_break`` marks the runtime honours. For those loops every
+    straight-line bodies whose every induction/reduction update carries a
+    ``dep_break`` mark the runtime honours (the analyzer puts the marks
+    on, so they agree by construction). For those loops every
     iteration costs the same and shares nothing, so self-parallelism must
     reach the DOALL threshold once the loop actually iterates (average
     iteration count ≥ 2). In particular a statically-safe loop can never

@@ -6,8 +6,8 @@ function structure, and critical-path instrumentation inserts the calls that
 drive shadow-memory timestamp propagation. Here, lowering from MiniC emits
 ``region_enter``/``region_exit`` markers directly (it knows the loop
 structure exactly), and :func:`instrument_module` attaches per-instruction
-costs, control-dependence sources, and induction/reduction flags — the static
-metadata the KremLib runtime consumes.
+costs, control-dependence sources, and the analyzer's induction/reduction
+flags — the static metadata the KremLib runtime consumes.
 """
 
 from repro.instrument.compile import CompiledProgram, kremlin_cc

@@ -1,9 +1,13 @@
 """``kremlin-cc``: the one-call compile-and-instrument driver.
 
 ``kremlin_cc(source)`` is the library equivalent of the paper's
-``make CC=kremlin-cc``: parse → lower (regions + dependence breaking) →
-verify → instrument. The result bundles everything the interpreter and the
-KremLib runtime need to execute and profile the program.
+``make CC=kremlin-cc``: parse → lower (regions) → verify → analysis facts
+→ instrument (dependence-breaking marks, costs, control dependence) →
+static analysis. The facts — reaching definitions, loop forests,
+induction variables, mod/ref summaries — are built once and shared by
+the marks, the instrumentation and the analyzer. The result bundles
+everything the interpreter and the KremLib runtime need to execute and
+profile the program.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 
 import typing
 
+from repro.analysis.facts import build_module_facts
 from repro.frontend.parser import parse_program
 from repro.instrument.costs import DEFAULT_COST_MODEL, CostModel
 from repro.instrument.passes import ModuleInstrumentation, instrument_module
@@ -69,10 +74,11 @@ def kremlin_cc(
             module = lower_program(program)
         with tracer.span("verify"):
             verify_module(module)
+        facts = build_module_facts(module)
         with tracer.span("instrument") as span:
-            instrumentation = instrument_module(module, cost_model)
+            instrumentation = instrument_module(module, cost_model, facts)
             span.args["regions"] = len(module.regions)
-        analysis = analyze_module(module) if analyze else None
+        analysis = analyze_module(module, facts=facts) if analyze else None
     return CompiledProgram(
         module=module,
         instrumentation=instrumentation,

@@ -11,6 +11,10 @@ Mirrors the paper's two LLVM instrumentation steps (§3):
   marker refers to a region in the tree and that loop markers nest properly
   with their body markers.
 
+Before either step, :func:`~repro.analysis.dependence.mark_dependence_breaks`
+puts the induction/reduction marks of §4.1 on the IR, so the precomputed
+shadow operands already leave the broken operands out.
+
 The pass is idempotent and does not change program semantics — exactly the
 property the paper relies on when it optimizes *after* instrumenting.
 """
@@ -19,11 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.loops import find_natural_loops
 from repro.analysis.control_dependence import (
     ControlDependenceInfo,
     compute_control_dependence,
 )
+from repro.analysis.dependence import mark_dependence_breaks
+from repro.analysis.facts import ModuleFacts, build_module_facts
+from repro.analysis.loops import LoopForest, find_natural_loops
 from repro.instrument.costs import DEFAULT_COST_MODEL, CostModel
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
@@ -74,8 +80,10 @@ def _shadow_operand_indices(instr) -> tuple[int, ...]:
 
 
 def instrument_function(
-    function: Function, cost_model: CostModel
+    function: Function, cost_model: CostModel, forest: LoopForest | None = None
 ) -> FunctionInstrumentation:
+    """Costs, shadow operands and the control-dependence schedule of one
+    function; ``forest`` is its natural-loop forest when already built."""
     for block in function.blocks:
         for instr in block.instructions:
             is_float = instr.result is not None and instr.result.type == FLOAT
@@ -97,7 +105,7 @@ def instrument_function(
             pops_at.setdefault(join, []).append(branch_block)
 
     loop_branch_blocks: set[BasicBlock] = set()
-    forest = find_natural_loops(function)
+    forest = forest or find_natural_loops(function)
     for block in control.branch_join:
         loop = forest.loop_of(block)
         if loop is None:
@@ -129,11 +137,20 @@ def _validate_region_markers(module: Module) -> None:
 
 
 def instrument_module(
-    module: Module, cost_model: CostModel = DEFAULT_COST_MODEL
+    module: Module,
+    cost_model: CostModel = DEFAULT_COST_MODEL,
+    facts: ModuleFacts | None = None,
 ) -> ModuleInstrumentation:
-    """Attach costs and control-dependence schedules to every function."""
+    """Mark dependence breaks, then attach costs and control-dependence
+    schedules to every function. ``facts`` are the module's analysis facts
+    when the caller already built them."""
     _validate_region_markers(module)
+    if facts is None:
+        facts = build_module_facts(module)
+    mark_dependence_breaks(facts)
     instrumentation = ModuleInstrumentation(cost_model=cost_model)
     for name, function in module.functions.items():
-        instrumentation.functions[name] = instrument_function(function, cost_model)
+        instrumentation.functions[name] = instrument_function(
+            function, cost_model, facts.functions[name].forest
+        )
     return instrumentation

@@ -11,7 +11,7 @@ hierarchical critical path analysis with:
 * a **control-dependence stack** whose entries' times only increase, so
   reads consult only the top (§4.1);
 * the **induction/reduction update rule** that ignores the old-value operand
-  of flagged updates (§4.1);
+  of updates the static analyzer flagged (§4.1);
 * per-region **work and critical-path accounting**, summarized into the
   online compression dictionary at every region exit (§4.4).
 

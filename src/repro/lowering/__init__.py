@@ -2,12 +2,12 @@
 
 This stage also performs the front-end half of Kremlin's static
 instrumentation: it builds the static region tree (one region per function,
-loop, and loop body), emits ``region_enter``/``region_exit`` markers, and
-flags induction- and reduction-variable updates for the dependence-breaking
-shadow update rule (paper §4.1).
+loop, and loop body) and emits ``region_enter``/``region_exit`` markers.
+The induction and reduction marks of the dependence-breaking shadow rule
+(paper §4.1) are put on the IR later, by the analyzer
+(:func:`repro.analysis.dependence.mark_dependence_breaks`).
 """
 
-from repro.lowering.dep_break import LoopDepInfo, analyze_loop_dependences
 from repro.lowering.lower import lower_program
 
-__all__ = ["LoopDepInfo", "analyze_loop_dependences", "lower_program"]
+__all__ = ["lower_program"]

@@ -6,8 +6,6 @@ Responsibilities beyond plain code generation:
   loop, and loop-body regions) and emit ``region_enter``/``region_exit``
   markers with proper dynamic nesting, including early exits via ``break``,
   ``continue``, and ``return``;
-* transfer induction/reduction markings from
-  :mod:`repro.lowering.dep_break` onto the emitted ``BinOp`` instructions;
 * keep exactly one virtual register per scalar source variable (assignments
   are ``copy`` instructions), so the shadow register table corresponds to
   source variables.
@@ -53,11 +51,9 @@ from repro.interp.builtins import BUILTINS
 from repro.ir.basicblock import BasicBlock
 from repro.ir.builder import IRBuilder
 from repro.ir.function import Function
-from repro.ir.instructions import BinOp
 from repro.ir.module import GlobalVar, Module
 from repro.ir.types import FLOAT, INT, VOID, ArrayType, ScalarType, Type, common_type, scalar
 from repro.ir.values import Constant, GlobalRef, Register, StringConst, Value
-from repro.lowering.dep_break import analyze_function_dependences
 
 
 def _ast_type_to_ir(type_name: TypeName) -> Type:
@@ -103,7 +99,6 @@ class Lowerer:
         self.scopes: list[dict[str, Value]] = []
         self.loop_stack: list[_LoopContext] = []
         self.region_stack: list[int] = []
-        self.dep_marks: dict[int, tuple[str, int]] = {}
         self._loop_counter = 0
 
     # ------------------------------------------------------------------
@@ -171,7 +166,6 @@ class Lowerer:
         self.scopes = [{}]
         self.loop_stack = []
         self.region_stack = [region.id]
-        self.dep_marks = analyze_function_dependences(decl.body)
         self._loop_counter = 0
 
         entry = self._new_block("entry")
@@ -282,62 +276,45 @@ class Lowerer:
             self.builder.copy(zero, register, decl.span)
 
     def _lower_assign(self, stmt: AssignStmt) -> None:
-        mark = self.dep_marks.get(id(stmt))
         if isinstance(stmt.target, NameExpr):
             slot = self._lookup(stmt.target.name, stmt.target.span)
             if isinstance(slot.type, ArrayType):
                 raise SemanticError("cannot assign to a whole array", stmt.target.span)
             if isinstance(slot, Register):
-                self._lower_scalar_assign_register(stmt, slot, mark)
+                self._lower_scalar_assign_register(stmt, slot)
             else:
-                self._lower_scalar_assign_global(stmt, slot, mark)
+                self._lower_scalar_assign_global(stmt, slot)
             return
-        self._lower_element_assign(stmt, mark)
+        self._lower_element_assign(stmt)
 
     def _lower_scalar_assign_register(
-        self, stmt: AssignStmt, register: Register, mark: tuple[str, int] | None
+        self, stmt: AssignStmt, register: Register
     ) -> None:
         builder = self.builder
         value = self._require_scalar(self._lower_expr(stmt.value), stmt.value.span)
         if stmt.op == "=":
-            if (
-                isinstance(stmt.value, BinaryExpr)
-                and mark is not None
-                and not builder.is_terminated
-            ):
-                self._apply_mark_to_last_binop(mark)
             value = builder.coerce(value, register.type, stmt.span)
             builder.copy(value, register, stmt.span)
             return
         op = stmt.op[0]
-        result = self._emit_binop(op, register, value, stmt.span, mark)
+        result = self._emit_binop(op, register, value, stmt.span)
         result = builder.coerce(result, register.type, stmt.span)
         builder.copy(result, register, stmt.span)
 
-    def _lower_scalar_assign_global(
-        self, stmt: AssignStmt, ref: GlobalRef, mark: tuple[str, int] | None
-    ) -> None:
+    def _lower_scalar_assign_global(self, stmt: AssignStmt, ref: GlobalRef) -> None:
         builder = self.builder
         value = self._require_scalar(self._lower_expr(stmt.value), stmt.value.span)
         if stmt.op == "=":
-            if (
-                isinstance(stmt.value, BinaryExpr)
-                and mark is not None
-                and not builder.is_terminated
-            ):
-                self._apply_mark_to_last_binop(mark)
             value = builder.coerce(value, ref.type, stmt.span)
             builder.store(ref, None, value, stmt.span)
             return
         op = stmt.op[0]
         old = builder.load(ref, None, stmt.span)
-        result = self._emit_binop(op, old, value, stmt.span, mark)
+        result = self._emit_binop(op, old, value, stmt.span)
         result = builder.coerce(result, ref.type, stmt.span)
         builder.store(ref, None, result, stmt.span)
 
-    def _lower_element_assign(
-        self, stmt: AssignStmt, mark: tuple[str, int] | None
-    ) -> None:
+    def _lower_element_assign(self, stmt: AssignStmt) -> None:
         builder = self.builder
         target = stmt.target
         assert isinstance(target, IndexExpr)
@@ -349,32 +326,15 @@ class Lowerer:
             return
         op = stmt.op[0]
         old = builder.load(mem, index, stmt.span)
-        result = self._emit_binop(op, old, value, stmt.span, mark)
+        result = self._emit_binop(op, old, value, stmt.span)
         result = builder.coerce(result, element_type, stmt.span)
         builder.store(mem, index, result, stmt.span)
 
     def _emit_binop(
-        self,
-        op: str,
-        lhs: Value,
-        rhs: Value,
-        span: SourceSpan,
-        mark: tuple[str, int] | None,
+        self, op: str, lhs: Value, rhs: Value, span: SourceSpan
     ) -> Value:
         lhs, rhs = self._unify_arith(lhs, rhs, span)
-        result = self.builder.binop(op, lhs, rhs, span)
-        if mark is not None:
-            instr = self.builder.current.instructions[-1]
-            assert isinstance(instr, BinOp)
-            instr.dep_break, instr.break_operand = mark[0], 0
-        return result
-
-    def _apply_mark_to_last_binop(self, mark: tuple[str, int]) -> None:
-        """Flag the binop just emitted for ``v = v + e`` style updates."""
-        for instr in reversed(self.builder.current.instructions):
-            if isinstance(instr, BinOp):
-                instr.dep_break, instr.break_operand = mark
-                return
+        return self.builder.binop(op, lhs, rhs, span)
 
     # ------------------------------------------------------------------
     # Control flow

@@ -158,22 +158,26 @@ def _stmt_exprs(stmt: ast.Stmt):
             yield stmt.value
 
 
-def _names_in(node) -> set[str]:
-    """Every variable name referenced under a statement or expression."""
-    out: set[str] = set()
+def _name_nodes(node):
+    """Every variable reference (``NameExpr``/``IndexExpr``) under a
+    statement or expression."""
     if isinstance(node, ast.Expr):
         exprs = [node]
-        stmts = []
     else:
-        stmts = list(ast.walk_stmts(node))
-        exprs = []
-    for stmt in stmts:
-        exprs.extend(_stmt_exprs(stmt))
+        exprs = [
+            expr
+            for stmt in ast.walk_stmts(node)
+            for expr in _stmt_exprs(stmt)
+        ]
     for expr in exprs:
         for sub in ast.walk_expr(expr):
             if isinstance(sub, (ast.NameExpr, ast.IndexExpr)):
-                out.add(sub.name)
-    return out
+                yield sub
+
+
+def _names_in(node) -> set[str]:
+    """Every variable name referenced under a statement or expression."""
+    return {sub.name for sub in _name_nodes(node)}
 
 
 def _has_call(expr: ast.Expr | None) -> bool:
@@ -192,19 +196,9 @@ def _decls_in(stmt: ast.Stmt) -> list[ast.VarDecl]:
 
 def _rename(node, old: str, new: str) -> None:
     """Rename every reference to ``old`` in place (exprs under ``node``)."""
-    if isinstance(node, ast.Expr):
-        exprs = [node]
-        stmts = []
-    else:
-        stmts = list(ast.walk_stmts(node))
-        exprs = []
-    for stmt in stmts:
-        exprs.extend(_stmt_exprs(stmt))
-    for expr in exprs:
-        for sub in ast.walk_expr(expr):
-            if isinstance(sub, (ast.NameExpr, ast.IndexExpr)):
-                if sub.name == old:
-                    sub.name = new
+    for sub in _name_nodes(node):
+        if sub.name == old:
+            sub.name = new
 
 
 def _spans_equal(a: SourceSpan, b: SourceSpan) -> bool:

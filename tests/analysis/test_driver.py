@@ -15,12 +15,8 @@ from repro.analysis.driver import (
 from repro.analysis import dominators, loops
 from repro.analysis.dataflow import ReachingDefinitions
 from repro.analysis.verdict import UNKNOWN_TAG, Verdict
-from repro.bench_suite.registry import all_benchmarks, get_benchmark
-from repro.frontend.ast_nodes import DoWhileStmt, ForStmt, WhileStmt, walk_stmts
-from repro.frontend.parser import parse_program
+from repro.bench_suite.registry import get_benchmark
 from repro.instrument.compile import kremlin_cc
-from repro.lowering import dep_break
-from repro.lowering.lower import lower_program
 from tests.conftest import compile_source
 
 
@@ -165,12 +161,9 @@ def count_builds(monkeypatch, owner, name, key) -> Counter:
 
 
 class TestFactsBuiltOnce:
-    @pytest.mark.parametrize("key", ["bt", "mandel", "ammp"])
-    def test_analyze_module_builds_each_fact_once_per_function(
-        self, monkeypatch, key
-    ):
-        program = kremlin_cc(get_benchmark(key).source, f"{key}.c")
-        by_name = {
+    @staticmethod
+    def counters(monkeypatch):
+        return {
             "ReachingDefinitions": count_builds(
                 monkeypatch, ReachingDefinitions, "_compute",
                 lambda rd: rd.function.name,
@@ -184,32 +177,28 @@ class TestFactsBuiltOnce:
                 lambda function: function.name,
             ),
         }
-        analyze_module(program.module)
-        functions = set(program.module.functions)
+
+    @staticmethod
+    def assert_once_per_function(by_name, functions):
         for fact, counts in by_name.items():
             assert set(counts) == functions, fact
             assert max(counts.values()) == 1, (fact, counts)
 
-    def test_lowering_classifies_each_ast_loop_once(self, monkeypatch):
-        calls: Counter = Counter()
-        original = dep_break.analyze_loop_dependences
+    @pytest.mark.parametrize("key", ["bt", "mandel", "ammp"])
+    def test_analyze_module_builds_each_fact_once_per_function(
+        self, monkeypatch, key
+    ):
+        program = kremlin_cc(get_benchmark(key).source, f"{key}.c")
+        by_name = self.counters(monkeypatch)
+        analyze_module(program.module)
+        self.assert_once_per_function(by_name, set(program.module.functions))
 
-        def counting(loop):
-            calls[id(loop)] += 1
-            return original(loop)
-
-        monkeypatch.setattr(
-            dep_break, "analyze_loop_dependences", counting
-        )
-        for benchmark in all_benchmarks():
-            calls.clear()
-            program = parse_program(benchmark.source, benchmark.name)
-            ast_loops = {
-                id(stmt)
-                for function in program.functions
-                for stmt in walk_stmts(function.body)
-                if isinstance(stmt, (ForStmt, WhileStmt, DoWhileStmt))
-            }
-            lower_program(program)
-            assert set(calls) == ast_loops, benchmark.name
-            assert max(calls.values(), default=1) == 1, benchmark.name
+    @pytest.mark.parametrize("key", ["bt", "mandel", "ammp"])
+    def test_kremlin_cc_builds_each_fact_once_per_function(
+        self, monkeypatch, key
+    ):
+        # The dependence-breaking marks, the instrumentation pass and the
+        # analyzer share one copy of the facts.
+        by_name = self.counters(monkeypatch)
+        program = kremlin_cc(get_benchmark(key).source, f"{key}.c", analyze=True)
+        self.assert_once_per_function(by_name, set(program.module.functions))

@@ -1,24 +1,12 @@
-"""IR-level induction/reduction detection, cross-checked with lowering.
+"""IR-level induction/reduction detection.
 
 The static analyzer's detectors (``analyze_function_dependences``) are the
-only IR-level induction/reduction model; lowering's AST-level
-``dep_break`` marks are what HCPA consumes. Every mark lowering puts on a
-variable register must get the same class from the analyzer.
+only induction/reduction model; the ``dep_break`` marks HCPA consumes are
+derived from them (see ``tests/lowering/test_dep_break.py``).
 """
 
-import glob
-import os
-
 from repro.analysis.dependence import DepClass, analyze_function_dependences
-from repro.analysis.loops import find_natural_loops
-from repro.bench_suite.registry import all_benchmarks
-from repro.ir.instructions import BinOp, Load
 from tests.conftest import compile_source
-from tests.lowering.test_dep_break import CALL_WRITES_STEP_STATE
-
-_REPO = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-
-_KIND_CLASS = {"induction": DepClass.INDUCTION, "reduction": DepClass.REDUCTION}
 
 
 def main_loop(source):
@@ -115,56 +103,3 @@ class TestReductionDetection:
             "int main() { int s = 100; for (int i = 0; i < 5; i++) s = i - s; return s; }"
         )
         assert info.scalar_class("s") is DepClass.CROSS_ITERATION
-
-
-def _sources():
-    for benchmark in all_benchmarks():
-        yield benchmark.name, benchmark.source
-    for pattern in ("tests/fuzz/corpus/*.c", "examples/*.c"):
-        for path in sorted(glob.glob(os.path.join(_REPO, pattern))):
-            with open(path) as handle:
-                yield os.path.basename(path), handle.read()
-    yield from CALL_WRITES_STEP_STATE.items()
-
-
-class TestCrossValidationWithLowering:
-    def test_every_lowering_mark_is_detected_at_ir_level(self):
-        """Every lowering mark whose old value is a variable register gets
-        the same class from the analyzer in the mark's innermost loop.
-
-        Memory-cell marks (global scalars, ``A[i] ⊕= e``) are excluded:
-        their old value comes from a Load, has no IR-level scalar
-        counterpart, and the analyzer consumes the mark itself as a cell
-        reduction.
-        """
-        checked = 0
-        for name, source in _sources():
-            module = compile_source(source, name).module
-            for function in module.functions.values():
-                forest = find_natural_loops(function)
-                infos = {
-                    info.loop: info
-                    for info in analyze_function_dependences(
-                        function, module, forest=forest
-                    )
-                }
-                loaded = {
-                    instr.result
-                    for instr in function.instructions()
-                    if isinstance(instr, Load)
-                }
-                for block in function.blocks:
-                    for instr in block.instructions:
-                        if not isinstance(instr, BinOp) or not instr.dep_break:
-                            continue
-                        old = instr.operands[instr.break_operand]
-                        if old in loaded:
-                            continue  # memory-cell mark
-                        scalar = infos[forest.loop_of(block)].scalars.get(old)
-                        got = scalar.dep_class if scalar else None
-                        assert got is _KIND_CLASS[instr.dep_break], (
-                            f"{name}:{function.name}: lowering marks {old} "
-                            f"{instr.dep_break}, the analyzer says {got}"
-                        )
-                        checked += 1
-        assert checked >= 225

@@ -1,12 +1,17 @@
-"""AST-level induction/reduction marking tests."""
+"""Dependence-breaking marks on the compiled IR (paper §4.1).
+
+Lowering emits no marks; the analyzer marks each induction and reduction
+update it classifies (:func:`repro.analysis.dependence.
+mark_dependence_breaks`), so these cases pin the analyzer-derived marks
+that HCPA honours.
+"""
 
 import json
 
 import pytest
 
-from repro.frontend.parser import parse_program
 from repro.hcpa.serialize import profile_to_json
-from repro.ir.instructions import BinOp
+from repro.ir.instructions import BinOp, Load
 from repro.kremlib.profiler import profile_program
 from tests.conftest import compile_source
 
@@ -275,3 +280,79 @@ class TestReductionMarking:
         """
         marks = [m for m in marked_binops(source) if m.dep_break == "reduction"]
         assert not marks
+
+
+def cell_marks(source, cell):
+    """Marks whose old value is loaded from the global ``cell``."""
+    program = compile_source(source)
+    function = program.module.function("main")
+    loaded = {
+        instr.result: instr.mem.name
+        for instr in function.instructions()
+        if isinstance(instr, Load)
+    }
+    return [
+        (instr.dep_break, instr.break_operand)
+        for instr in function.instructions()
+        if isinstance(instr, BinOp)
+        and instr.dep_break is not None
+        and loaded.get(instr.operands[instr.break_operand]) == cell
+    ]
+
+
+class TestAnalyzerDerivedMarks:
+    def test_accumulator_on_the_right_breaks_operand_one(self):
+        marks = [
+            m
+            for m in marked_binops(
+                "int main() { int e = 3; int s = 0; "
+                "for (int i = 0; i < 5; i++) s = e * i + s; return s; }"
+            )
+            if getattr(m.operands[m.break_operand], "name", "") == "s"
+        ]
+        assert [(m.dep_break, m.break_operand) for m in marks] == [
+            ("reduction", 1)
+        ]
+
+    def test_histogram_indexed_by_itself_not_marked(self):
+        source = """
+        int A[8];
+        int main() {
+          for (int i = 0; i < 8; i++) { A[A[i]] += 1; }
+          return A[0];
+        }
+        """
+        assert cell_marks(source, "A") == []
+
+    def test_global_invariant_step_is_induction(self):
+        source = """
+        int g;
+        int main() {
+          for (int i = 0; i < 8; i++) { g += 2; }
+          return g;
+        }
+        """
+        assert cell_marks(source, "g") == [("induction", 0)]
+
+    def test_global_read_again_in_loop_not_marked(self):
+        source = """
+        int g;
+        int a[8];
+        int main() {
+          for (int i = 0; i < 8; i++) { g += i; a[i] = g; }
+          return g + a[7];
+        }
+        """
+        assert cell_marks(source, "g") == []
+
+    def test_global_written_by_callee_not_marked(self):
+        source = """
+        int g;
+        int reset(int p) { g = p; return p; }
+        int main() {
+          for (int i = 0; i < 8; i++) { g += i; reset(i); }
+          return g;
+        }
+        """
+        assert cell_marks(source, "g") == []
+
